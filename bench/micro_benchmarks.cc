@@ -9,7 +9,6 @@
 #include "clustering/cf_tree.h"
 #include "common/random.h"
 #include "datagen/cluster_generator.h"
-#include "itemsets/hash_tree.h"
 #include "itemsets/prefix_tree.h"
 #include "tidlist/tidlist.h"
 
@@ -67,7 +66,7 @@ void BM_PrefixTreeCount(benchmark::State& state) {
   const TransactionBlock block = gen.GenerateAll();
 
   Rng rng(6);
-  PrefixTree tree;
+  std::vector<Itemset> itemsets;
   for (size_t s = 0; s < num_itemsets; ++s) {
     Itemset itemset;
     const size_t size = 2 + rng.NextUint64(3);
@@ -78,50 +77,19 @@ void BM_PrefixTreeCount(benchmark::State& state) {
                        item);
       }
     }
-    tree.Insert(itemset);
+    itemsets.push_back(std::move(itemset));
   }
+  PrefixTree tree;
+  tree.Build(itemsets);
   for (auto _ : state) {
     for (const Transaction& t : block.transactions()) {
       tree.CountTransaction(t);
     }
+    benchmark::DoNotOptimize(tree.CountOf(0));
   }
   state.SetItemsProcessed(state.iterations() * block.size());
 }
 BENCHMARK(BM_PrefixTreeCount)->Range(16, 4096);
-
-void BM_HashTreeCount(benchmark::State& state) {
-  // Same workload as BM_PrefixTreeCount with the [AMS+96] hash tree
-  // (paper footnote 7) for a direct structure comparison.
-  const size_t num_itemsets = static_cast<size_t>(state.range(0));
-  QuestParams params;
-  params.num_transactions = 2000;
-  params.num_items = 1000;
-  params.seed = 5;
-  QuestGenerator gen(params);
-  const TransactionBlock block = gen.GenerateAll();
-
-  Rng rng(6);
-  HashTree tree;
-  for (size_t s = 0; s < num_itemsets; ++s) {
-    Itemset itemset;
-    const size_t size = 2 + rng.NextUint64(3);
-    while (itemset.size() < size) {
-      const Item item = static_cast<Item>(rng.NextUint64(1000));
-      if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
-        itemset.insert(std::lower_bound(itemset.begin(), itemset.end(), item),
-                       item);
-      }
-    }
-    tree.Insert(itemset);
-  }
-  for (auto _ : state) {
-    for (const Transaction& t : block.transactions()) {
-      tree.CountTransaction(t);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * block.size());
-}
-BENCHMARK(BM_HashTreeCount)->Range(16, 4096);
 
 void BM_CFTreeInsert(benchmark::State& state) {
   ClusterGenParams params;

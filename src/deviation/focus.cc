@@ -5,24 +5,19 @@
 #include "common/check.h"
 #include "common/stats.h"
 #include "itemsets/apriori.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/support_counting.h"
 
 namespace demon {
 
 namespace {
 
-// Counts the supports of `itemsets` in `block` with one scan.
+// Counts the supports of `itemsets` in `block` with one PT-Scan.
 std::vector<uint64_t> CountInBlock(const std::vector<Itemset>& itemsets,
                                    const TransactionBlock& block) {
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
-  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
-  std::vector<uint64_t> counts;
-  counts.reserve(itemsets.size());
-  for (size_t id : ids) counts.push_back(tree.CountOf(id));
-  return counts;
+  // Non-owning alias: the counting kernel only reads the block.
+  auto alias = std::shared_ptr<const TransactionBlock>(
+      std::shared_ptr<const TransactionBlock>(), &block);
+  return PtScanCount(itemsets, {alias});
 }
 
 }  // namespace

@@ -108,17 +108,11 @@ std::vector<uint64_t> CountingContext::PtScan(
       ShardCountFor(total_transactions, kMinTransactionsPerShard);
   PrepareScratch(shards);
 
-  // Build the pointer tree once in shard 0's scratch, flatten it to the
-  // array image the transaction walk runs on, and give every shard its
-  // own copy (flat arrays, so the copy is a few memcpys — far cheaper
-  // than cloning the pointer tree's per-node child vectors).
-  PrefixTree& master = scratch_[0]->tree;
-  master.Clear();
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(master.Insert(itemset));
-  scratch_[0]->flat.BuildFrom(master);
-  for (size_t s = 1; s < shards; ++s) scratch_[s]->flat = scratch_[0]->flat;
+  // Build the tree once in shard 0's scratch and give every shard its own
+  // copy (flat arrays, so the copy is a few memcpys).
+  PrefixTree& tree = scratch_[0]->tree;
+  tree.Build(itemsets);
+  for (size_t s = 1; s < shards; ++s) scratch_[s]->tree = tree;
 
   const bool collect_stats = CollectStats(stats);
   ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
@@ -139,12 +133,12 @@ std::vector<uint64_t> CountingContext::PtScan(
                                  end - offset);
       if (collect_stats) {
         for (size_t i = lo; i < hi; ++i) {
-          s.flat.CountTransaction(transactions[i]);
+          s.tree.CountTransaction(transactions[i]);
           touched += transactions[i].size();
         }
       } else {
         for (size_t i = lo; i < hi; ++i) {
-          s.flat.CountTransaction(transactions[i]);
+          s.tree.CountTransaction(transactions[i]);
         }
       }
       offset += transactions.size();
@@ -154,8 +148,10 @@ std::vector<uint64_t> CountingContext::PtScan(
 
   std::vector<uint64_t> counts(itemsets.size(), 0);
   for (size_t shard = 0; shard < shards; ++shard) {
-    const FlatPrefixTree& flat = scratch_[shard]->flat;
-    for (size_t i = 0; i < ids.size(); ++i) counts[i] += flat.CountOf(ids[i]);
+    const PrefixTree& shard_tree = scratch_[shard]->tree;
+    for (size_t i = 0; i < counts.size(); ++i) {
+      counts[i] += shard_tree.CountOf(i);
+    }
   }
   MergeStats(shards, stats);
   if (slots_fetched_ != nullptr) {

@@ -16,8 +16,9 @@
 namespace demon {
 
 /// \brief The support-counting kernel behind PT-Scan, ECUT and ECUT+:
-/// parallel across an optional shared ThreadPool and allocation-free in
-/// steady state via per-shard scratch buffers that persist across calls.
+/// parallel across an optional shared ThreadPool and, apart from PT-Scan's
+/// per-call tree build, allocation-free in steady state via per-shard
+/// scratch buffers that persist across calls.
 ///
 /// Figures 2 and 4-7 — the paper's core claims — are pure support-counting
 /// benchmarks, so this is the hot path of every itemset monitor. A context
@@ -129,10 +130,9 @@ class CountingContext {
   /// Per-shard reusable state. unique_ptr entries keep addresses stable
   /// while workers use them.
   struct Scratch {
+    /// PT-Scan's candidate tree (built once per call in shard 0, copied
+    /// to the others).
     PrefixTree tree;
-    /// Flat-array image of the candidate tree PT-Scan's transaction walk
-    /// runs on (rebuilt once per call from shard 0's pointer tree).
-    FlatPrefixTree flat;
     std::vector<uint64_t> item_counts;
     IntersectionScratch intersect;
     std::vector<TidListView> views;

@@ -12,9 +12,7 @@ Result<std::vector<uint64_t>> PtScanCountDisk(
     const std::vector<TransactionFileScanner*>& scanners,
     CountingStats* stats) {
   PrefixTree tree;
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
+  tree.Build(itemsets);
 
   for (TransactionFileScanner* scanner : scanners) {
     const uint64_t before = scanner->bytes_read();
@@ -24,9 +22,8 @@ Result<std::vector<uint64_t>> PtScanCountDisk(
       stats->slots_fetched += (scanner->bytes_read() - before) / sizeof(Item);
     }
   }
-  std::vector<uint64_t> counts;
-  counts.reserve(itemsets.size());
-  for (size_t id : ids) counts.push_back(tree.CountOf(id));
+  std::vector<uint64_t> counts(itemsets.size());
+  for (size_t i = 0; i < counts.size(); ++i) counts[i] = tree.CountOf(i);
   return counts;
 }
 

@@ -6,24 +6,19 @@
 #include "common/telemetry.h"
 #include "itemsets/apriori.h"
 #include "itemsets/candidate_generation.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/support_counting.h"
 
 namespace demon {
 
 namespace {
 
-// Counts `itemsets` over one block with a prefix tree.
+// Counts `itemsets` over one block with PT-Scan.
 std::vector<uint64_t> CountOver(const std::vector<Itemset>& itemsets,
                                 const TransactionBlock& block) {
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
-  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
-  std::vector<uint64_t> counts;
-  counts.reserve(itemsets.size());
-  for (size_t id : ids) counts.push_back(tree.CountOf(id));
-  return counts;
+  // Non-owning alias: the counting kernel only reads the block.
+  auto alias = std::shared_ptr<const TransactionBlock>(
+      std::shared_ptr<const TransactionBlock>(), &block);
+  return PtScanCount(itemsets, {alias});
 }
 
 uint64_t CeilCount(double minsup, uint64_t n) {
@@ -128,16 +123,10 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
         // The expensive step FUP is known for: scan the old database.
         ++last_stats_.old_db_scans;
         last_stats_.candidates_counted += survivors.size();
-        PrefixTree tree;
-        std::vector<size_t> ids;
-        for (const Itemset& s : survivors) ids.push_back(tree.Insert(s));
-        for (const auto& old_block : blocks_) {
-          for (const Transaction& t : old_block->transactions()) {
-            tree.CountTransaction(t);
-          }
-        }
+        const std::vector<uint64_t> old_counts =
+            PtScanCount(survivors, blocks_);
         for (size_t i = 0; i < survivors.size(); ++i) {
-          const uint64_t total = tree.CountOf(ids[i]) + survivor_db_counts[i];
+          const uint64_t total = old_counts[i] + survivor_db_counts[i];
           if (total >= min_count) {
             new_counts[survivors[i]] = total;
             winners.push_back(survivors[i]);

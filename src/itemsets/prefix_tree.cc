@@ -1,212 +1,116 @@
 #include "itemsets/prefix_tree.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <numeric>
 
 #include "common/check.h"
 
 namespace demon {
 
-size_t PrefixTree::Insert(const Itemset& itemset) {
-  DEMON_CHECK(!itemset.empty());
-  uint32_t node = 0;
-  for (Item item : itemset) {
-    // Children are kept sorted by item for the merge-style descent.
-    auto& children = nodes_[node].children;
-    auto it = std::lower_bound(children.begin(), children.end(), item,
-                               [this](uint32_t child, Item value) {
-                                 return nodes_[child].item < value;
-                               });
-    if (it != children.end() && nodes_[*it].item == item) {
-      node = *it;
-      continue;
+void PrefixTree::Build(const std::vector<Itemset>& itemsets) {
+  DEMON_CHECK(itemsets.size() < std::numeric_limits<uint32_t>::max());
+  const auto n = static_cast<uint32_t>(itemsets.size());
+  Item max_first = 0;
+  for (const Itemset& itemset : itemsets) {
+    DEMON_CHECK_MSG(!itemset.empty() &&
+                        std::adjacent_find(itemset.begin(), itemset.end(),
+                                           std::greater_equal<Item>()) ==
+                            itemset.end(),
+                    "counted itemsets must be non-empty and strictly "
+                    "increasing");
+    max_first = std::max(max_first, itemset.front());
+  }
+
+  // Counting-sort the positions on their first item (items are dense, so
+  // the buckets span the universe). The sort is stable: positions sharing
+  // a first item stay ascending, which is the order the packed keys of
+  // the deeper levels sort into.
+  std::vector<uint32_t> order(n);
+  {
+    std::vector<uint32_t> start(size_t{max_first} + 2, 0);
+    for (const Itemset& itemset : itemsets) {
+      ++start[size_t{itemset.front()} + 1];
     }
-    const uint32_t fresh = static_cast<uint32_t>(nodes_.size());
-    Node child;
-    child.item = item;
-    // nodes_.push_back may invalidate `children`; recompute the insert
-    // position afterwards.
-    const size_t insert_at = static_cast<size_t>(it - children.begin());
-    nodes_.push_back(child);
-    auto& children_after = nodes_[node].children;
-    children_after.insert(children_after.begin() + insert_at, fresh);
-    node = fresh;
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (uint32_t i = 0; i < n; ++i) order[start[itemsets[i].front()]++] = i;
   }
-  if (nodes_[node].terminal_id < 0) {
-    nodes_[node].terminal_id = static_cast<int32_t>(counts_.size());
-    counts_.push_back(0);
+
+  // Level by level, in slot order. The j-th node of the current level
+  // owns the positions order[bounds[j], bounds[j + 1]): the itemsets its
+  // path is a prefix of. Those of length `depth` end at the node; the
+  // rest become its children, keyed by their next item and sorted on the
+  // packed key (item << 32 | position). Children are appended in parent
+  // order, which is the breadth-first layout.
+  item_.assign(1, 0);  // the root
+  child_begin_.clear();
+  node_of_.resize(n);
+  std::vector<uint32_t> bounds = {0, n};
+  std::vector<uint32_t> next_order;
+  std::vector<uint32_t> next_bounds;
+  std::vector<uint64_t> keys;
+  uint32_t node = 0;
+  for (size_t depth = 0; bounds.size() > 1; ++depth) {
+    next_order.clear();
+    next_bounds.clear();
+    for (size_t j = 0; j + 1 < bounds.size(); ++j, ++node) {
+      child_begin_.push_back(static_cast<uint32_t>(item_.size()));
+      keys.clear();
+      for (uint32_t k = bounds[j]; k < bounds[j + 1]; ++k) {
+        const uint32_t i = order[k];
+        if (itemsets[i].size() == depth) {
+          node_of_[i] = node;
+        } else {
+          keys.push_back(uint64_t{itemsets[i][depth]} << 32 | i);
+        }
+      }
+      // The root's keys arrive in order from the counting sort.
+      if (depth > 0) std::sort(keys.begin(), keys.end());
+      for (const uint64_t key : keys) {
+        const auto item = static_cast<Item>(key >> 32);
+        if (item_.size() == child_begin_.back() || item_.back() != item) {
+          item_.push_back(item);
+          next_bounds.push_back(static_cast<uint32_t>(next_order.size()));
+        }
+        next_order.push_back(static_cast<uint32_t>(key));
+      }
+    }
+    next_bounds.push_back(static_cast<uint32_t>(next_order.size()));
+    order.swap(next_order);
+    bounds.swap(next_bounds);
   }
-  return static_cast<size_t>(nodes_[node].terminal_id);
+  child_begin_.push_back(static_cast<uint32_t>(item_.size()));
+  counts_.assign(item_.size(), 0);
+  root_child_.assign(size_t{max_first} + 1, 0);
+  for (uint32_t c = child_begin_[0]; c < child_begin_[1]; ++c) {
+    root_child_[item_[c]] = c;
+  }
 }
 
 void PrefixTree::CountTransaction(const Transaction& transaction,
                                   uint64_t weight) {
   const auto& items = transaction.items();
-  if (items.empty()) return;
   weight_ = weight;
-  CountRecursive(0, items.data(), items.data() + items.size());
+  // The root's children are looked up by item instead of merge-walked:
+  // the root has a child per distinct first item, hundreds on Quest data,
+  // against a transaction's few dozen items. Items are sorted, so the
+  // first one past the table ends the walk.
+  const Item* end = items.data() + items.size();
+  for (const Item* p = items.data(); p != end && *p < root_child_.size();
+       ++p) {
+    const uint32_t child = root_child_[*p];
+    if (child != 0) CountRecursive(child, p + 1, end);
+  }
 }
 
-void PrefixTree::CountRecursive(uint32_t node_index, const Item* pos,
+void PrefixTree::CountRecursive(uint32_t node, const Item* pos,
                                 const Item* end) {
-  const Node& node = nodes_[node_index];
-  if (node.terminal_id >= 0) counts_[node.terminal_id] += weight_;
-  if (node.children.empty() || pos == end) return;
-
-  // Merge-walk the sorted children against the sorted remaining items.
-  size_t c = 0;
-  const Item* p = pos;
-  while (c < node.children.size() && p != end) {
-    const Item child_item = nodes_[node.children[c]].item;
-    if (child_item < *p) {
-      ++c;
-    } else if (*p < child_item) {
-      ++p;
-    } else {
-      CountRecursive(node.children[c], p + 1, end);
-      ++c;
-      ++p;
-    }
-  }
-}
-
-void PrefixTree::AuditInto(audit::AuditResult* audit) const {
-  constexpr char kModule[] = "prefix-tree";
-  if (nodes_.empty()) {
-    AUDIT_FAIL(audit, kModule, "prefix-tree/root-missing",
-               "node storage is empty (no root)", "");
-    return;
-  }
-
-  std::vector<bool> reached(nodes_.size(), false);
-  std::vector<size_t> terminal_seen(counts_.size(), 0);
-  reached[0] = true;
-  // Iterative DFS carrying the count of the nearest terminal ancestor
-  // (UINT64_MAX before any terminal is passed).
-  std::vector<std::pair<uint32_t, uint64_t>> stack;
-  stack.push_back({0, UINT64_MAX});
-  while (!stack.empty()) {
-    const auto [index, ancestor_count] = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[index];
-
-    uint64_t passed_down = ancestor_count;
-    if (node.terminal_id >= 0) {
-      const auto id = static_cast<size_t>(node.terminal_id);
-      if (id >= counts_.size()) {
-        AUDIT_FAIL(audit, kModule, "prefix-tree/terminal-range",
-                   audit::Msg() << "node " << index << " has terminal id "
-                                << id << " >= NumItemsets() "
-                                << counts_.size(),
-                   "");
-      } else {
-        ++terminal_seen[id];
-        AUDIT_CHECK(audit, kModule, "prefix-tree/monotone-counts",
-                    counts_[id] <= ancestor_count,
-                    audit::Msg()
-                        << "terminal " << id << " has count " << counts_[id]
-                        << " exceeding its prefix's count " << ancestor_count
-                        << " — a subset can never be rarer than its superset",
-                    "");
-        passed_down = counts_[id];
-      }
-    }
-
-    for (size_t c = 0; c < node.children.size(); ++c) {
-      const uint32_t child = node.children[c];
-      if (child <= index || child >= nodes_.size()) {
-        AUDIT_FAIL(audit, kModule, "prefix-tree/child-order",
-                   audit::Msg() << "node " << index << " has child index "
-                                << child
-                                << " outside (parent, size) — breaks the "
-                                   "append-only acyclic construction",
-                   "");
-        continue;
-      }
-      if (reached[child]) {
-        AUDIT_FAIL(audit, kModule, "prefix-tree/shared-node",
-                   audit::Msg() << "node " << child
-                                << " is reachable via two parents",
-                   "");
-        continue;
-      }
-      reached[child] = true;
-      if (c > 0 && nodes_[node.children[c - 1]].item >= nodes_[child].item) {
-        AUDIT_FAIL(audit, kModule, "prefix-tree/children-sorted",
-                   audit::Msg()
-                       << "node " << index
-                       << " children items not strictly increasing at slot "
-                       << c,
-                   "");
-      }
-      stack.push_back({child, passed_down});
-    }
-  }
-
-  for (size_t i = 0; i < reached.size(); ++i) {
-    AUDIT_CHECK(audit, kModule, "prefix-tree/orphan-node", reached[i],
-                audit::Msg() << "node " << i << " is unreachable from the root",
-                "");
-  }
-  for (size_t id = 0; id < terminal_seen.size(); ++id) {
-    AUDIT_CHECK(audit, kModule, "prefix-tree/terminal-dense",
-                terminal_seen[id] == 1,
-                audit::Msg() << "terminal id " << id << " assigned to "
-                             << terminal_seen[id]
-                             << " nodes (must be exactly one)",
-                "");
-  }
-}
-
-void PrefixTree::ResetCounts() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-}
-
-void FlatPrefixTree::BuildFrom(const PrefixTree& tree) {
-  const size_t n = tree.nodes_.size();
-  item_.resize(n);
-  terminal_.resize(n);
-  child_begin_.resize(n);
-  child_count_.resize(n);
-  counts_.assign(tree.counts_.size(), 0);
-  bfs_src_.resize(n);
-  // Breadth-first relayout. The slot array doubles as the BFS queue:
-  // slots are processed in ascending order and each node's children are
-  // appended at `next_slot`, which makes every child range contiguous and
-  // keeps sibling order (and therefore the strictly-increasing child
-  // items) intact. Every node of the source tree is reachable exactly
-  // once (append-only construction; audited), so the sweep fills all n
-  // slots.
-  bfs_src_[0] = 0;
-  size_t next_slot = 1;
-  for (size_t slot = 0; slot < n; ++slot) {
-    const PrefixTree::Node& src = tree.nodes_[bfs_src_[slot]];
-    item_[slot] = src.item;
-    terminal_[slot] = src.terminal_id;
-    child_begin_[slot] = static_cast<uint32_t>(next_slot);
-    child_count_[slot] = static_cast<uint32_t>(src.children.size());
-    for (const uint32_t child : src.children) {
-      bfs_src_[next_slot++] = child;
-    }
-  }
-  DEMON_CHECK_MSG(next_slot == n, "source tree has unreachable nodes");
-}
-
-void FlatPrefixTree::CountTransaction(const Transaction& transaction,
-                                      uint64_t weight) {
-  const auto& items = transaction.items();
-  if (items.empty()) return;
-  weight_ = weight;
-  CountRecursive(0, items.data(), items.data() + items.size());
-}
-
-void FlatPrefixTree::CountRecursive(uint32_t node, const Item* pos,
-                                    const Item* end) {
-  if (terminal_[node] >= 0) counts_[terminal_[node]] += weight_;
+  counts_[node] += weight_;
   uint32_t c = child_begin_[node];
-  const uint32_t cend = c + child_count_[node];
+  const uint32_t cend = child_begin_[node + 1];
   // Merge-walk the contiguous child slots (items strictly increasing)
-  // against the sorted remaining items — same descent as the pointer
-  // tree, minus the per-child pointer chase.
+  // against the sorted remaining items.
   const Item* p = pos;
   while (c < cend && p != end) {
     const Item child_item = item_[c];
@@ -222,14 +126,8 @@ void FlatPrefixTree::CountRecursive(uint32_t node, const Item* pos,
   }
 }
 
-void FlatPrefixTree::ResetCounts() {
+void PrefixTree::ResetCounts() {
   std::fill(counts_.begin(), counts_.end(), 0);
-}
-
-void PrefixTree::Clear() {
-  nodes_.clear();
-  nodes_.push_back(Node{});
-  counts_.clear();
 }
 
 }  // namespace demon

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/audit.h"
 #include "data/transaction.h"
 #include "itemsets/itemset.h"
 
@@ -12,123 +11,51 @@ namespace demon {
 
 /// \brief Prefix tree (trie) for counting the supports of a set of
 /// itemsets in one scan of the data — the candidate-counting structure of
-/// [Mue95] that BORDERS' PT-Scan uses (paper §3.1.1).
+/// [Mue95] that PT-Scan uses (paper §3.1.1), and the only counting tree of
+/// the repository.
 ///
-/// Itemsets of mixed sizes may be inserted; each insertion returns a dense
-/// id. `CountTransaction` increments the count of every inserted itemset
-/// contained in the transaction via sorted subset descent.
+/// The tree is built once from the candidate list and then counts any
+/// number of transactions. Nodes are laid out breadth-first as
+/// structure-of-arrays: every node's children occupy one contiguous slot
+/// range with strictly increasing items, so the per-transaction descent
+/// merge-walks one uint32 array instead of chasing pointers — PT-Scan's
+/// hottest loop. The root's children, one per distinct first item, are
+/// found through an item-indexed table instead.
 class PrefixTree {
  public:
-  PrefixTree() { nodes_.push_back(Node{}); }
+  /// Rebuilds the tree from `itemsets` with all counts zero. Each itemset
+  /// must be non-empty and strictly increasing (checked); the list itself
+  /// may be in any order and may hold duplicates, which share one count.
+  /// `CountOf(i)` then reports the itemset at position `i` of the list.
+  void Build(const std::vector<Itemset>& itemsets);
 
-  /// Inserts a (sorted) itemset and returns its id. Re-inserting an
-  /// existing itemset returns the previously assigned id. The empty
-  /// itemset is not insertable.
-  size_t Insert(const Itemset& itemset);
-
-  /// Number of distinct itemsets inserted.
-  size_t NumItemsets() const { return counts_.size(); }
-
-  /// Adds `weight` to the count of every inserted itemset that is a subset
-  /// of the (sorted) transaction.
+  /// Adds `weight` to the count of every itemset of the tree that is a
+  /// subset of the (sorted) transaction.
   void CountTransaction(const Transaction& transaction, uint64_t weight = 1);
 
-  /// Counts all transactions of a range of blocks.
-  template <typename BlockRange>
-  void CountBlocks(const BlockRange& blocks) {
-    for (const auto& block : blocks) {
-      for (const Transaction& t : block->transactions()) {
-        CountTransaction(t);
-      }
-    }
-  }
-
-  /// Count accumulated for the itemset with the given id.
-  uint64_t CountOf(size_t id) const { return counts_[id]; }
+  /// Count accumulated for `itemsets[i]` of the last Build.
+  uint64_t CountOf(size_t i) const { return counts_[node_of_[i]]; }
 
   /// Resets all counts to zero (the tree structure is kept).
-  void ResetCounts();
-
-  /// Removes every inserted itemset, returning the tree to its
-  /// freshly-constructed state. The node storage's capacity is kept, so a
-  /// cleared tree can be refilled with few or no allocations — the
-  /// counting layer reuses one tree per worker this way.
-  void Clear();
-
-  /// Deep structural audit: every node reachable exactly once with child
-  /// items strictly increasing and child indices above the parent's (the
-  /// append-only construction order, which rules out cycles), terminal ids
-  /// a dense permutation of [0, NumItemsets()), and counts monotone
-  /// non-increasing along every path of terminal nodes (support
-  /// monotonicity: a prefix is a subset, so its count can never be
-  /// smaller). Appends violations to `audit`.
-  void AuditInto(audit::AuditResult* audit) const;
-
- private:
-  friend class FlatPrefixTree;
-
-  struct Node {
-    Item item = 0;
-    int32_t terminal_id = -1;  // index into counts_, or -1
-    // Child node indices; the items of children are strictly increasing.
-    std::vector<uint32_t> children;
-  };
-
-  void CountRecursive(uint32_t node_index, const Item* pos, const Item* end);
-
-  std::vector<Node> nodes_;
-  std::vector<uint64_t> counts_;
-  uint64_t weight_ = 1;
-};
-
-/// \brief Read-mostly flat-array image of a PrefixTree for the counting
-/// walk — PT-Scan's hottest loop.
-///
-/// The pointer tree is the right structure while itemsets are being
-/// inserted (children vectors grow in place), but its nodes are heap
-/// scattered and each holds a std::vector, so the per-transaction descent
-/// chases two pointers per child visit. The flat image re-lays the nodes
-/// out once per counting pass, breadth-first, as structure-of-arrays:
-/// every node's children occupy one contiguous index range (BFS assigns
-/// child slots in queue order — the array analog of a first-child/
-/// next-sibling layout), so the merge-walk of children against the
-/// transaction streams one uint32 array. Terminal ids are preserved, so
-/// CountOf is interchangeable with the source tree's.
-///
-/// Build with BuildFrom once per quiesced batch (CountingContext does this
-/// after inserting the candidate set), then count any number of
-/// transactions; counts accumulate exactly like the pointer tree's
-/// (bit-identical — pinned by prefix_tree_test.cc).
-class FlatPrefixTree {
- public:
-  /// Rebuilds this image from `tree` with all counts zero. Buffers are
-  /// reused across builds, so steady-state rebuilds allocate nothing.
-  void BuildFrom(const PrefixTree& tree);
-
-  size_t NumItemsets() const { return counts_.size(); }
-
-  /// Adds `weight` to the count of every itemset of the source tree that
-  /// is a subset of the (sorted) transaction.
-  void CountTransaction(const Transaction& transaction, uint64_t weight = 1);
-
-  /// Count accumulated for the source tree's itemset id.
-  uint64_t CountOf(size_t id) const { return counts_[id]; }
-
   void ResetCounts();
 
  private:
   void CountRecursive(uint32_t node, const Item* pos, const Item* end);
 
-  /// Structure-of-arrays node storage, indexed by BFS slot; slot 0 is the
-  /// root. children of slot n are slots [child_begin_[n],
-  /// child_begin_[n] + child_count_[n]), items strictly increasing.
+  /// Node storage indexed by BFS slot; slot 0 is the root. The children
+  /// of slot n are slots [child_begin_[n], child_begin_[n + 1]) — BFS
+  /// assigns child slots in parent order, so one offset array with a
+  /// trailing sentinel bounds every range.
   std::vector<Item> item_;
-  std::vector<int32_t> terminal_;
   std::vector<uint32_t> child_begin_;
-  std::vector<uint32_t> child_count_;
+  /// Transactions reaching each node, i.e. containing the itemset its
+  /// path spells.
   std::vector<uint64_t> counts_;
-  /// Build-time map flat slot -> source node index (kept for buffer reuse).
-  std::vector<uint32_t> bfs_src_;
+  /// Input position -> the node its itemset ends at.
+  std::vector<uint32_t> node_of_;
+  /// First item -> the root's child for it, or 0 (the root is never a
+  /// child).
+  std::vector<uint32_t> root_child_;
   uint64_t weight_ = 1;
 };
 

@@ -8,30 +8,62 @@
 namespace demon {
 namespace {
 
+// A random sorted itemset of 1..max_size items from [0, num_items).
+Itemset RandomItemset(Rng* rng, size_t max_size, size_t num_items) {
+  Itemset itemset;
+  const size_t size = 1 + rng->NextUint64(max_size);
+  while (itemset.size() < size) {
+    const Item item = static_cast<Item>(rng->NextUint64(num_items));
+    if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
+      itemset.insert(std::lower_bound(itemset.begin(), itemset.end(), item),
+                     item);
+    }
+  }
+  return itemset;
+}
+
+// Counts `itemsets` over `block` with a tree, checks every count against
+// a brute-force subset test and returns the counted tree.
+PrefixTree CountAgainstBruteForce(const std::vector<Itemset>& itemsets,
+                                  const TransactionBlock& block) {
+  PrefixTree tree;
+  tree.Build(itemsets);
+  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    uint64_t expected = 0;
+    for (const Transaction& t : block.transactions()) {
+      expected += t.ContainsAll(itemsets[i].begin(), itemsets[i].end()) ? 1 : 0;
+    }
+    EXPECT_EQ(tree.CountOf(i), expected) << ToString(itemsets[i]);
+  }
+  return tree;
+}
+
 TEST(PrefixTreeTest, SingleItemsetCounting) {
   PrefixTree tree;
-  const size_t id = tree.Insert({1, 3});
+  tree.Build({{1, 3}});
   tree.CountTransaction(Transaction({1, 2, 3}));
   tree.CountTransaction(Transaction({1, 2}));
   tree.CountTransaction(Transaction({3}));
   tree.CountTransaction(Transaction({1, 3}));
-  EXPECT_EQ(tree.CountOf(id), 2u);
+  EXPECT_EQ(tree.CountOf(0), 2u);
 }
 
-TEST(PrefixTreeTest, ReinsertReturnsSameId) {
+TEST(PrefixTreeTest, DuplicatesShareOneCount) {
   PrefixTree tree;
-  const size_t a = tree.Insert({5, 9});
-  const size_t b = tree.Insert({5, 9});
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(tree.NumItemsets(), 1u);
+  tree.Build({{5, 9}, {5}, {5, 9}});
+  tree.CountTransaction(Transaction({5, 9}));
+  tree.CountTransaction(Transaction({5}));
+  EXPECT_EQ(tree.CountOf(0), 1u);
+  EXPECT_EQ(tree.CountOf(1), 2u);
+  EXPECT_EQ(tree.CountOf(2), 1u);
 }
 
 TEST(PrefixTreeTest, MixedSizesAndSharedPrefixes) {
   PrefixTree tree;
-  const size_t id1 = tree.Insert({1});
-  const size_t id12 = tree.Insert({1, 2});
-  const size_t id123 = tree.Insert({1, 2, 3});
-  const size_t id13 = tree.Insert({1, 3});
+  // Input deliberately out of order: the build sorts.
+  tree.Build({{1, 3}, {1, 2, 3}, {1}, {1, 2}});
+  const size_t id13 = 0, id123 = 1, id1 = 2, id12 = 3;
   tree.CountTransaction(Transaction({1, 2, 3}));
   EXPECT_EQ(tree.CountOf(id1), 1u);
   EXPECT_EQ(tree.CountOf(id12), 1u);
@@ -40,30 +72,85 @@ TEST(PrefixTreeTest, MixedSizesAndSharedPrefixes) {
   tree.CountTransaction(Transaction({1, 3, 7}));
   EXPECT_EQ(tree.CountOf(id1), 2u);
   EXPECT_EQ(tree.CountOf(id12), 1u);
+  EXPECT_EQ(tree.CountOf(id123), 1u);
   EXPECT_EQ(tree.CountOf(id13), 2u);
+}
+
+TEST(PrefixTreeTest, MatchesHandCountedSupports) {
+  PrefixTree tree;
+  tree.Build({{1, 3}, {1}, {2, 3, 5}, {5}});
+  const std::vector<Transaction> transactions = {
+      Transaction({1, 2, 3}), Transaction({1, 2}),    Transaction({3}),
+      Transaction({1, 3}),    Transaction({2, 3, 5}), Transaction({}),
+      Transaction({5}),       Transaction({1, 2, 3, 4, 5})};
+  for (const Transaction& t : transactions) tree.CountTransaction(t);
+  EXPECT_EQ(tree.CountOf(0), 3u);  // {1,3}
+  EXPECT_EQ(tree.CountOf(1), 4u);  // {1}
+  EXPECT_EQ(tree.CountOf(2), 2u);  // {2,3,5}
+  EXPECT_EQ(tree.CountOf(3), 3u);  // {5}
 }
 
 TEST(PrefixTreeTest, WeightedCounting) {
   PrefixTree tree;
-  const size_t id = tree.Insert({2});
+  tree.Build({{2}, {2, 4}});
   tree.CountTransaction(Transaction({2, 4}), 5);
-  EXPECT_EQ(tree.CountOf(id), 5u);
+  tree.CountTransaction(Transaction({2, 3}), 2);
+  EXPECT_EQ(tree.CountOf(0), 7u);
+  EXPECT_EQ(tree.CountOf(1), 5u);
 }
 
 TEST(PrefixTreeTest, ResetCounts) {
   PrefixTree tree;
-  const size_t id = tree.Insert({1, 2});
+  tree.Build({{1, 2}});
   tree.CountTransaction(Transaction({1, 2}));
-  EXPECT_EQ(tree.CountOf(id), 1u);
+  EXPECT_EQ(tree.CountOf(0), 1u);
   tree.ResetCounts();
-  EXPECT_EQ(tree.CountOf(id), 0u);
+  EXPECT_EQ(tree.CountOf(0), 0u);
+}
+
+TEST(PrefixTreeTest, WeightedCountThenReset) {
+  PrefixTree tree;
+  tree.Build({{2, 4}});
+  tree.CountTransaction(Transaction({2, 3, 4}), 5);
+  EXPECT_EQ(tree.CountOf(0), 5u);
+  tree.ResetCounts();
+  EXPECT_EQ(tree.CountOf(0), 0u);
 }
 
 TEST(PrefixTreeTest, EmptyTransactionCountsNothing) {
   PrefixTree tree;
-  const size_t id = tree.Insert({1});
+  tree.Build({{1}});
   tree.CountTransaction(Transaction({}));
-  EXPECT_EQ(tree.CountOf(id), 0u);
+  EXPECT_EQ(tree.CountOf(0), 0u);
+}
+
+TEST(PrefixTreeTest, EmptyTreeCountsNothing) {
+  PrefixTree tree;
+  tree.Build({});
+  tree.CountTransaction(Transaction({1, 2, 3}));
+}
+
+// Build is repeatable on a reused tree and always starts from zeroed
+// counts — the per-shard reuse pattern of CountingContext.
+TEST(PrefixTreeTest, RebuildStartsFromZeroCounts) {
+  PrefixTree tree;
+  tree.Build({{1, 2}});
+  tree.CountTransaction(Transaction({1, 2}));
+  EXPECT_EQ(tree.CountOf(0), 1u);
+
+  tree.Build({{7}, {7, 9}});
+  EXPECT_EQ(tree.CountOf(0), 0u);
+  EXPECT_EQ(tree.CountOf(1), 0u);
+  tree.CountTransaction(Transaction({7, 8, 9}));
+  EXPECT_EQ(tree.CountOf(0), 1u);
+  EXPECT_EQ(tree.CountOf(1), 1u);
+}
+
+TEST(PrefixTreeTest, RejectsUnsortedOrEmptyItemsets) {
+  PrefixTree tree;
+  EXPECT_DEATH(tree.Build({{3, 1}}), "strictly increasing");
+  EXPECT_DEATH(tree.Build({{2, 2}}), "strictly increasing");
+  EXPECT_DEATH(tree.Build({{1}, {}}), "strictly increasing");
 }
 
 // Property check: counts from the tree match brute-force subset tests on
@@ -80,101 +167,13 @@ TEST(PrefixTreeTest, RandomizedAgainstBruteForce) {
   Rng rng(7);
   std::vector<Itemset> itemsets;
   for (int i = 0; i < 200; ++i) {
-    Itemset itemset;
-    const size_t size = 1 + rng.NextUint64(4);
-    while (itemset.size() < size) {
-      const Item item = static_cast<Item>(rng.NextUint64(params.num_items));
-      if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
-        itemset.insert(
-            std::lower_bound(itemset.begin(), itemset.end(), item), item);
-      }
-    }
-    itemsets.push_back(std::move(itemset));
+    itemsets.push_back(RandomItemset(&rng, 4, params.num_items));
   }
-
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
-  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
-
-  for (size_t s = 0; s < itemsets.size(); ++s) {
-    uint64_t expected = 0;
-    for (const Transaction& t : block.transactions()) {
-      expected += t.ContainsAll(itemsets[s].begin(), itemsets[s].end()) ? 1 : 0;
-    }
-    ASSERT_EQ(tree.CountOf(ids[s]), expected) << ToString(itemsets[s]);
-  }
+  CountAgainstBruteForce(itemsets, block);
 }
 
-TEST(FlatPrefixTreeTest, EmptyTreeCountsNothing) {
-  PrefixTree tree;
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  EXPECT_EQ(flat.NumItemsets(), 0u);
-  flat.CountTransaction(Transaction({1, 2, 3}));
-}
-
-TEST(FlatPrefixTreeTest, MatchesPointerTreeCounts) {
-  PrefixTree tree;
-  const size_t a = tree.Insert({1, 3});
-  const size_t b = tree.Insert({1});
-  const size_t c = tree.Insert({2, 3, 5});
-  const size_t d = tree.Insert({5});
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  ASSERT_EQ(flat.NumItemsets(), tree.NumItemsets());
-
-  const std::vector<Transaction> transactions = {
-      Transaction({1, 2, 3}), Transaction({1, 2}),   Transaction({3}),
-      Transaction({1, 3}),    Transaction({2, 3, 5}), Transaction({}),
-      Transaction({5}),       Transaction({1, 2, 3, 4, 5})};
-  for (const Transaction& t : transactions) {
-    tree.CountTransaction(t);
-    flat.CountTransaction(t);
-  }
-  for (const size_t id : {a, b, c, d}) {
-    EXPECT_EQ(flat.CountOf(id), tree.CountOf(id)) << "id " << id;
-  }
-}
-
-TEST(FlatPrefixTreeTest, WeightsAndResetMatchPointerTree) {
-  PrefixTree tree;
-  const size_t id = tree.Insert({2, 4});
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  tree.CountTransaction(Transaction({2, 3, 4}), 5);
-  flat.CountTransaction(Transaction({2, 3, 4}), 5);
-  EXPECT_EQ(flat.CountOf(id), tree.CountOf(id));
-  EXPECT_EQ(flat.CountOf(id), 5u);
-  flat.ResetCounts();
-  EXPECT_EQ(flat.CountOf(id), 0u);
-}
-
-// Build-from is repeatable on a reused FlatPrefixTree and always starts
-// from zeroed counts — the per-shard reuse pattern of CountingContext.
-TEST(FlatPrefixTreeTest, RebuildResetsStateAndTracksNewTree) {
-  PrefixTree first;
-  const size_t fa = first.Insert({1, 2});
-  FlatPrefixTree flat;
-  flat.BuildFrom(first);
-  flat.CountTransaction(Transaction({1, 2}));
-  EXPECT_EQ(flat.CountOf(fa), 1u);
-
-  PrefixTree second;
-  const size_t sa = second.Insert({7});
-  const size_t sb = second.Insert({7, 9});
-  flat.BuildFrom(second);
-  ASSERT_EQ(flat.NumItemsets(), 2u);
-  EXPECT_EQ(flat.CountOf(sa), 0u);
-  flat.CountTransaction(Transaction({7, 8, 9}));
-  EXPECT_EQ(flat.CountOf(sa), 1u);
-  EXPECT_EQ(flat.CountOf(sb), 1u);
-}
-
-// Differential fuzz: the flat walk must agree with the pointer walk on
-// every itemset for a generated workload (bit-identical counts are the
-// PT-Scan correctness invariant).
-TEST(FlatPrefixTreeTest, RandomizedMatchesPointerTree) {
+// Longer transactions and deeper itemsets than above.
+TEST(PrefixTreeTest, RandomizedDeepItemsetsAgainstBruteForce) {
   QuestParams params;
   params.num_transactions = 1500;
   params.num_items = 60;
@@ -184,28 +183,47 @@ TEST(FlatPrefixTreeTest, RandomizedMatchesPointerTree) {
   const TransactionBlock block = gen.GenerateAll();
 
   Rng rng(13);
-  PrefixTree tree;
-  std::vector<size_t> ids;
+  std::vector<Itemset> itemsets;
   for (int i = 0; i < 300; ++i) {
-    Itemset itemset;
-    const size_t size = 1 + rng.NextUint64(5);
-    while (itemset.size() < size) {
-      const Item item = static_cast<Item>(rng.NextUint64(params.num_items));
-      if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
-        itemset.insert(
-            std::lower_bound(itemset.begin(), itemset.end(), item), item);
-      }
+    itemsets.push_back(RandomItemset(&rng, 5, params.num_items));
+  }
+  CountAgainstBruteForce(itemsets, block);
+}
+
+// The shape BORDERS detection hands over: a downward-closed family of
+// mixed sizes in hash-map order, with duplicates. Each duplicate must get
+// the same count as its first copy.
+TEST(PrefixTreeTest, ShuffledDuplicatesAndMixedSizes) {
+  QuestParams params;
+  params.num_transactions = 1000;
+  params.num_items = 40;
+  params.num_patterns = 20;
+  params.avg_transaction_len = 8;
+  QuestGenerator gen(params);
+  const TransactionBlock block = gen.GenerateAll();
+
+  Rng rng(21);
+  std::vector<Itemset> itemsets;
+  for (int i = 0; i < 150; ++i) {
+    const Itemset itemset = RandomItemset(&rng, 5, params.num_items);
+    // Every prefix too, so sizes mix along shared paths.
+    for (size_t k = 1; k <= itemset.size(); ++k) {
+      itemsets.emplace_back(itemset.begin(), itemset.begin() + k);
     }
-    ids.push_back(tree.Insert(itemset));
   }
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  for (const Transaction& t : block.transactions()) {
-    tree.CountTransaction(t);
-    flat.CountTransaction(t);
+  const size_t originals = itemsets.size();
+  for (size_t i = 0; i < originals; i += 3) itemsets.push_back(itemsets[i]);
+  for (size_t i = itemsets.size(); i > 1; --i) {
+    std::swap(itemsets[i - 1], itemsets[rng.NextUint64(i)]);
   }
-  for (const size_t id : ids) {
-    ASSERT_EQ(flat.CountOf(id), tree.CountOf(id)) << "id " << id;
+  const PrefixTree tree = CountAgainstBruteForce(itemsets, block);
+  ItemsetMap<size_t> first;
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    const auto [it, inserted] = first.emplace(itemsets[i], i);
+    if (!inserted) {
+      EXPECT_EQ(tree.CountOf(i), tree.CountOf(it->second))
+          << ToString(itemsets[i]);
+    }
   }
 }
 
