@@ -25,9 +25,10 @@ ItemsetModel Apriori(
   const std::vector<uint64_t> item_counts =
       context->CountItems(blocks, num_items);
   std::vector<Itemset> frequent_prev;
+  entries.ReserveMore(num_items, num_items);
   for (Item item = 0; item < num_items; ++item) {
     const bool frequent = item_counts[item] >= min_count;
-    entries.emplace(Itemset{item},
+    entries.emplace(std::span<const Item>(&item, 1),
                     ItemsetModel::Entry{item_counts[item], frequent});
     if (frequent) frequent_prev.push_back(Itemset{item});
   }
@@ -44,6 +45,9 @@ ItemsetModel Apriori(
     if (candidates.empty()) break;
 
     const std::vector<uint64_t> counts = context->PtScan(candidates, blocks);
+    // Every candidate of a level has the same size.
+    entries.ReserveMore(candidates.size(),
+                        candidates.size() * candidates[0].size());
     for (size_t i = 0; i < candidates.size(); ++i) {
       const bool frequent = counts[i] >= min_count;
       entries.emplace(candidates[i], ItemsetModel::Entry{counts[i], frequent});

@@ -37,29 +37,24 @@ BordersMaintainer::BordersMaintainer(const BordersOptions& options)
 
 void BordersMaintainer::FoldBlockCounts(const TransactionBlock& block,
                                         int sign) {
-  if (model_.entries().empty()) return;
-  // Entry pointers are stable across unordered_map lookups (no inserts
-  // happen while counting), so bind them once.
-  std::vector<Itemset> itemsets;
-  std::vector<ItemsetModel::Entry*> entries;
-  itemsets.reserve(model_.entries().size());
-  entries.reserve(model_.entries().size());
-  for (auto& [itemset, entry] : *model_.mutable_entries()) {
-    itemsets.push_back(itemset);
-    entries.push_back(&entry);
-  }
+  ItemsetTable& entries = *model_.mutable_entries();
+  if (entries.empty()) return;
+  // Count the tracked itemsets where they lie: once compacted, the
+  // table's key arena is the counting list and slot i is position i.
+  entries.Compact();
   // Non-owning alias: the counting kernel only reads the block.
   auto alias = std::shared_ptr<const TransactionBlock>(
       std::shared_ptr<const TransactionBlock>(), &block);
-  const std::vector<uint64_t> deltas = counting_.PtScan(itemsets, {alias});
-  for (size_t i = 0; i < entries.size(); ++i) {
+  const std::vector<uint64_t> deltas =
+      counting_.PtScan(entries.Keys(), {alias});
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    ItemsetModel::Entry& entry = entries.ValueAt(i);
     const uint64_t delta = deltas[i];
     if (sign > 0) {
-      entries[i]->count += delta;
+      entry.count += delta;
     } else {
-      DEMON_CHECK_MSG(entries[i]->count >= delta,
-                      "deletion underflows a count");
-      entries[i]->count -= delta;
+      DEMON_CHECK_MSG(entry.count >= delta, "deletion underflows a count");
+      entry.count -= delta;
     }
   }
 }
@@ -160,7 +155,7 @@ void BordersMaintainer::Refresh(const std::vector<Itemset>& promotion_seeds) {
   // Flip frequency flags; newly frequent itemsets seed candidate growth.
   std::vector<Itemset> seeds = promotion_seeds;
   bool any_demotion = false;
-  for (auto& [itemset, entry] : entries) {
+  for (auto&& [itemset, entry] : entries) {
     const bool should_be_frequent = entry.count >= min_count;
     if (should_be_frequent == entry.frequent) continue;
     entry.frequent = should_be_frequent;
@@ -186,6 +181,9 @@ void BordersMaintainer::Refresh(const std::vector<Itemset>& promotion_seeds) {
     const std::vector<uint64_t> counts =
         counting_.Count(options_.strategy, candidates, blocks_, tidlists_,
                         &last_stats_.counting);
+    size_t items = 0;
+    for (const Itemset& candidate : candidates) items += candidate.size();
+    entries.ReserveMore(candidates.size(), items);
     for (size_t i = 0; i < candidates.size(); ++i) {
       const bool frequent = counts[i] >= min_count;
       entries.emplace(candidates[i],
@@ -213,27 +211,33 @@ std::vector<Itemset> BordersMaintainer::SeededCandidates(
   }
   std::sort(frequent_items.begin(), frequent_items.end());
 
+  // Probe keys are built in reused buffers; only kept candidates are
+  // copied out.
+  Itemset candidate;
+  Itemset subset;
   for (const Itemset& seed : seeds) {
     for (Item extension : frequent_items) {
-      if (std::binary_search(seed.begin(), seed.end(), extension)) continue;
-      Itemset candidate = seed;
-      candidate.insert(
-          std::lower_bound(candidate.begin(), candidate.end(), extension),
-          extension);
-      if (model_.Contains(candidate) || produced.count(candidate) > 0) {
+      const auto at = std::lower_bound(seed.begin(), seed.end(), extension);
+      if (at != seed.end() && *at == extension) continue;
+      const size_t extension_index = static_cast<size_t>(at - seed.begin());
+      candidate.assign(seed.begin(), at);
+      candidate.push_back(extension);
+      candidate.insert(candidate.end(), at, seed.end());
+      if (model_.entries().contains(candidate) ||
+          produced.count(candidate) > 0) {
         continue;
       }
-      // Prune: every |seed|-subset must be frequent (the seed itself is,
-      // by construction).
+      // Prune: every |seed|-subset must be frequent (the seed itself,
+      // which drops the extension, is by construction).
       bool keep = true;
       for (size_t drop = 0; drop < candidate.size() && keep; ++drop) {
-        Itemset subset = WithoutIndex(candidate, drop);
-        if (subset == seed) continue;
+        if (drop == extension_index) continue;
+        AssignWithoutIndex(candidate, drop, &subset);
         keep = IsFrequentEntry(subset);
       }
       if (!keep) continue;
       produced.insert(candidate);
-      result.push_back(std::move(candidate));
+      result.push_back(candidate);
     }
   }
   return result;
@@ -383,12 +387,14 @@ Status BordersMaintainer::LoadState(persistence::Reader& r) {
 }
 
 void BordersMaintainer::PruneBorder() {
-  auto& entries = *model_.mutable_entries();
+  ItemsetTable& entries = *model_.mutable_entries();
   std::vector<Itemset> to_delete;
-  for (const auto& [itemset, entry] : entries) {
+  Itemset subset;
+  for (const auto& [itemset, entry] : model_.entries()) {
     if (entry.frequent || itemset.size() <= 1) continue;
     for (size_t drop = 0; drop < itemset.size(); ++drop) {
-      if (!IsFrequentEntry(WithoutIndex(itemset, drop))) {
+      AssignWithoutIndex(itemset, drop, &subset);
+      if (!IsFrequentEntry(subset)) {
         to_delete.push_back(itemset);
         break;
       }

@@ -171,7 +171,7 @@ class BordersMaintainer {
   /// the NB- invariant after demotions).
   void PruneBorder();
 
-  bool IsFrequentEntry(const Itemset& itemset) const {
+  bool IsFrequentEntry(std::span<const Item> itemset) const {
     const auto it = model_.entries().find(itemset);
     return it != model_.entries().end() && it->second.frequent;
   }

@@ -22,7 +22,7 @@ std::vector<Itemset> GenerateCandidates(std::vector<Itemset> frequent_prev,
   if (frequent_prev.empty()) return candidates;
   std::sort(frequent_prev.begin(), frequent_prev.end(), ItemsetLess());
 
-  const size_t k_minus_1 = frequent_prev[0].size();
+  Itemset subset;
   // Join step: pairs sharing the first k-2 items.
   for (size_t i = 0; i < frequent_prev.size(); ++i) {
     for (size_t j = i + 1; j < frequent_prev.size(); ++j) {
@@ -36,12 +36,12 @@ std::vector<Itemset> GenerateCandidates(std::vector<Itemset> frequent_prev,
       // dropping the last two positions are `a` and `b` themselves.
       bool keep = true;
       for (size_t drop = 0; drop + 2 < candidate.size() && keep; ++drop) {
-        keep = is_frequent(WithoutIndex(candidate, drop));
+        AssignWithoutIndex(candidate, drop, &subset);
+        keep = is_frequent(subset);
       }
       if (keep) candidates.push_back(std::move(candidate));
     }
   }
-  (void)k_minus_1;
   return candidates;
 }
 

@@ -94,11 +94,12 @@ void CountingContext::MergeStats(size_t shards, CountingStats* stats) const {
   }
 }
 
-std::vector<uint64_t> CountingContext::PtScan(
-    const std::vector<Itemset>& itemsets,
+template <typename List>
+std::vector<uint64_t> CountingContext::PtScanOver(
+    const List& itemsets,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
     CountingStats* stats) {
-  if (itemsets.empty()) return {};
+  if (itemsets.size() == 0) return {};
   DEMON_TRACE_SPAN(call_span, telemetry_, "pt-scan", "counting");
   [[maybe_unused]] const uint64_t call_span_id = DEMON_SPAN_ID(call_span);
 
@@ -164,6 +165,20 @@ std::vector<uint64_t> CountingContext::PtScan(
     itemsets_counted_->Add(itemsets.size());
   }
   return counts;
+}
+
+std::vector<uint64_t> CountingContext::PtScan(
+    const std::vector<Itemset>& itemsets,
+    const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+    CountingStats* stats) {
+  return PtScanOver(itemsets, blocks, stats);
+}
+
+std::vector<uint64_t> CountingContext::PtScan(
+    const FlatItemsets& itemsets,
+    const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+    CountingStats* stats) {
+  return PtScanOver(itemsets, blocks, stats);
 }
 
 uint64_t CountingContext::EstimateEcutSlots(

@@ -86,6 +86,12 @@ class CountingContext {
       const std::vector<Itemset>& itemsets,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
       CountingStats* stats = nullptr);
+  /// The same over a flat list — BORDERS detection counts its model's key
+  /// arena in place.
+  std::vector<uint64_t> PtScan(
+      const FlatItemsets& itemsets,
+      const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+      CountingStats* stats = nullptr);
 
   /// ECUT / ECUT+: candidate itemsets are sharded across the pool; each
   /// shard intersects per-block TID-list views with its own reusable
@@ -160,6 +166,13 @@ class CountingContext {
   /// item_totals_ lazily for the items the batch names.
   uint64_t EstimateEcutSlots(const std::vector<Itemset>& itemsets,
                              const TidListStore& store);
+
+  /// PT-Scan over either list form.
+  template <typename List>
+  std::vector<uint64_t> PtScanOver(
+      const List& itemsets,
+      const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+      CountingStats* stats);
 
   /// Grows scratch_ to `shards` entries and resets their per-call stats.
   void PrepareScratch(size_t shards);

@@ -76,7 +76,8 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
       const auto& old_level = old_by_size[k - 1];
       const std::vector<uint64_t> db_counts = CountOver(old_level, db);
       for (size_t i = 0; i < old_level.size(); ++i) {
-        const uint64_t total = entries[old_level[i]].count + db_counts[i];
+        const uint64_t total =
+            entries.find(old_level[i])->second.count + db_counts[i];
         if (total >= min_count) {
           new_counts[old_level[i]] = total;
           winners.push_back(old_level[i]);
@@ -92,7 +93,7 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
       // were not frequent before.
       for (Item item = 0; item < num_items_; ++item) {
         const Itemset single{item};
-        if (new_counts.count(single) == 0 && entries.count(single) == 0) {
+        if (new_counts.count(single) == 0 && !entries.contains(single)) {
           candidates.push_back(single);
         }
       }
@@ -103,7 +104,7 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
       for (Itemset& candidate :
            GenerateCandidates(level_prev, is_frequent_new)) {
         if (new_counts.count(candidate) == 0 &&
-            entries.count(candidate) == 0) {
+            !entries.contains(candidate)) {
           candidates.push_back(std::move(candidate));
         }
       }
@@ -143,9 +144,12 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
   blocks_.push_back(std::move(block));
   ItemsetModel updated(minsup_, num_items_);
   updated.set_num_transactions(new_total);
-  for (auto& [itemset, count] : new_counts) {
-    updated.mutable_entries()->emplace(itemset,
-                                       ItemsetModel::Entry{count, true});
+  ItemsetTable& updated_entries = *updated.mutable_entries();
+  size_t items = 0;
+  for (const auto& [itemset, count] : new_counts) items += itemset.size();
+  updated_entries.ReserveMore(new_counts.size(), items);
+  for (const auto& [itemset, count] : new_counts) {
+    updated_entries.emplace(itemset, ItemsetModel::Entry{count, true});
   }
   model_ = std::move(updated);
   last_stats_.seconds = timer.Stop();

@@ -27,6 +27,7 @@ void ItemsetModel::AuditInto(audit::AuditResult* audit) const {
   const uint64_t min_count = MinCount();
 
   size_t tracked_singletons = 0;
+  Itemset subset;
   for (const auto& [itemset, entry] : entries_) {
     const std::string name = demon::ToString(itemset);
 
@@ -60,7 +61,7 @@ void ItemsetModel::AuditInto(audit::AuditResult* audit) const {
     // case): either way every (k-1)-subset must be tracked and frequent,
     // with a count no smaller than this entry's (support monotonicity).
     for (size_t drop = 0; drop < itemset.size(); ++drop) {
-      const Itemset subset = WithoutIndex(itemset, drop);
+      AssignWithoutIndex(itemset, drop, &subset);
       const auto it = entries_.find(subset);
       if (it == entries_.end() || !it->second.frequent) {
         AUDIT_FAIL(audit, kModule,

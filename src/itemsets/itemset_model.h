@@ -7,6 +7,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "itemsets/itemset.h"
+#include "itemsets/itemset_table.h"
 
 namespace demon {
 
@@ -19,10 +20,7 @@ namespace demon {
 /// refreshed to decide whether the model changed.
 class ItemsetModel {
  public:
-  struct Entry {
-    uint64_t count = 0;
-    bool frequent = false;
-  };
+  using Entry = ItemsetTable::Entry;
 
   ItemsetModel() = default;
 
@@ -57,8 +55,9 @@ class ItemsetModel {
     return min_count == 0 ? 1 : min_count;
   }
 
-  const ItemsetMap<Entry>& entries() const { return entries_; }
-  ItemsetMap<Entry>* mutable_entries() { return &entries_; }
+  /// L ∪ NB- with counts, iterated in insertion order.
+  const ItemsetTable& entries() const { return entries_; }
+  ItemsetTable* mutable_entries() { return &entries_; }
 
   /// True if the itemset is tracked and currently frequent.
   bool IsFrequent(const Itemset& itemset) const {
@@ -86,7 +85,7 @@ class ItemsetModel {
            static_cast<double>(num_transactions_);
   }
 
-  /// All frequent itemsets (unordered).
+  /// All frequent itemsets, in insertion order.
   std::vector<Itemset> FrequentItemsets() const {
     std::vector<Itemset> out;
     for (const auto& [itemset, entry] : entries_) {
@@ -95,7 +94,7 @@ class ItemsetModel {
     return out;
   }
 
-  /// All negative-border itemsets (unordered).
+  /// All negative-border itemsets, in insertion order.
   std::vector<Itemset> NegativeBorder() const {
     std::vector<Itemset> out;
     for (const auto& [itemset, entry] : entries_) {
@@ -129,7 +128,7 @@ class ItemsetModel {
   double minsup_ = 0.01;
   size_t num_items_ = 0;
   uint64_t num_transactions_ = 0;
-  ItemsetMap<Entry> entries_;
+  ItemsetTable entries_;
 };
 
 }  // namespace demon

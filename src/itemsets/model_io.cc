@@ -19,19 +19,25 @@ void SerializeItemsetModel(persistence::Writer& w, const ItemsetModel& model) {
   w.WriteU64(model.num_items());
   w.WriteU64(model.num_transactions());
   w.WriteU64(model.entries().size());
-  // Canonical order: the entry map is unordered, but checkpoints of equal
-  // models must be byte-equal for the restore-equivalence tests.
-  std::vector<const std::pair<const Itemset, ItemsetModel::Entry>*> sorted;
+  // Canonical order: the table iterates in insertion order, which differs
+  // between equal models built along different paths, but checkpoints of
+  // equal models must be byte-equal for the restore-equivalence tests.
+  std::vector<ItemsetTable::const_iterator> sorted;
   sorted.reserve(model.entries().size());
-  for (const auto& entry : model.entries()) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) {
-              return ItemsetLess()(a->first, b->first);
-            });
-  for (const auto* entry : sorted) {
-    w.WriteU32Vector(entry->first);
-    w.WriteU64(entry->second.count);
-    w.WriteBool(entry->second.frequent);
+  for (auto it = model.entries().begin(); it != model.entries().end(); ++it) {
+    sorted.push_back(it);
+  }
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+    const ItemsetView x = a->first;
+    const ItemsetView y = b->first;
+    return std::lexicographical_compare(x.begin(), x.end(), y.begin(),
+                                        y.end());
+  });
+  for (const auto& it : sorted) {
+    const auto [itemset, entry] = *it;
+    w.WriteU32Span(itemset);
+    w.WriteU64(entry.count);
+    w.WriteBool(entry.frequent);
   }
 }
 
@@ -47,14 +53,18 @@ void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
   }
   ItemsetModel loaded(minsup, num_items);
   loaded.set_num_transactions(num_transactions);
+  ItemsetTable& entries = *loaded.mutable_entries();
+  // The entry count is known; the key items are not (every itemset holds
+  // at least one), so the arena is trimmed once everything is read.
+  entries.ReserveMore(num_entries, num_entries);
   for (size_t e = 0; e < num_entries; ++e) {
-    Itemset itemset = r.ReadU32Vector();
+    const Itemset itemset = r.ReadU32Vector();
     const uint64_t count = r.ReadU64();
     const bool frequent = r.ReadBool();
     if (!r.ok()) return;
-    loaded.mutable_entries()->emplace(std::move(itemset),
-                                      ItemsetModel::Entry{count, frequent});
+    entries.emplace(itemset, ItemsetModel::Entry{count, frequent});
   }
+  entries.Compact();
   *model = std::move(loaded);
 }
 

@@ -9,11 +9,13 @@
 
 namespace demon {
 
-void PrefixTree::Build(const std::vector<Itemset>& itemsets) {
+template <typename List>
+void PrefixTree::BuildFrom(const List& itemsets) {
   DEMON_CHECK(itemsets.size() < std::numeric_limits<uint32_t>::max());
   const auto n = static_cast<uint32_t>(itemsets.size());
   Item max_first = 0;
-  for (const Itemset& itemset : itemsets) {
+  for (uint32_t i = 0; i < n; ++i) {
+    const auto& itemset = itemsets[i];
     DEMON_CHECK_MSG(!itemset.empty() &&
                         std::adjacent_find(itemset.begin(), itemset.end(),
                                            std::greater_equal<Item>()) ==
@@ -30,9 +32,7 @@ void PrefixTree::Build(const std::vector<Itemset>& itemsets) {
   std::vector<uint32_t> order(n);
   {
     std::vector<uint32_t> start(size_t{max_first} + 2, 0);
-    for (const Itemset& itemset : itemsets) {
-      ++start[size_t{itemset.front()} + 1];
-    }
+    for (uint32_t i = 0; i < n; ++i) ++start[size_t{itemsets[i].front()} + 1];
     std::partial_sum(start.begin(), start.end(), start.begin());
     for (uint32_t i = 0; i < n; ++i) order[start[itemsets[i].front()]++] = i;
   }
@@ -87,6 +87,12 @@ void PrefixTree::Build(const std::vector<Itemset>& itemsets) {
     root_child_[item_[c]] = c;
   }
 }
+
+void PrefixTree::Build(const std::vector<Itemset>& itemsets) {
+  BuildFrom(itemsets);
+}
+
+void PrefixTree::Build(const FlatItemsets& itemsets) { BuildFrom(itemsets); }
 
 void PrefixTree::CountTransaction(const Transaction& transaction,
                                   uint64_t weight) {

@@ -28,6 +28,9 @@ class PrefixTree {
   /// may be in any order and may hold duplicates, which share one count.
   /// `CountOf(i)` then reports the itemset at position `i` of the list.
   void Build(const std::vector<Itemset>& itemsets);
+  /// The same over a flat list (an ItemsetTable's key arena), so a model
+  /// counts its itemsets without copying them out.
+  void Build(const FlatItemsets& itemsets);
 
   /// Adds `weight` to the count of every itemset of the tree that is a
   /// subset of the (sorted) transaction.
@@ -40,6 +43,9 @@ class PrefixTree {
   void ResetCounts();
 
  private:
+  /// Build over any list whose `itemsets[i]` is a sorted item range.
+  template <typename List>
+  void BuildFrom(const List& itemsets);
   void CountRecursive(uint32_t node, const Item* pos, const Item* end);
 
   /// Node storage indexed by BFS slot; slot 0 is the root. The children

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,9 @@ class Writer {
   }
 
   /// Length-prefixed array of raw little-endian u32 values.
-  void WriteU32Vector(const std::vector<uint32_t>& v) {
+  void WriteU32Vector(const std::vector<uint32_t>& v) { WriteU32Span(v); }
+  /// The same encoding from any contiguous run (ReadU32Vector reads it).
+  void WriteU32Span(std::span<const uint32_t> v) {
     WriteU64(v.size());
     AppendRaw(v.data(), v.size() * sizeof(uint32_t));
   }
@@ -110,15 +113,7 @@ class Reader {
     return ReadPodVector<uint32_t>();
   }
 
-  std::vector<double> ReadDoubleVector() {
-    std::vector<double> out;
-    const size_t n = ReadLength(sizeof(double));
-    if (!ok()) return out;
-    out.resize(n);
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
-    pos_ += n * sizeof(double);
-    return out;
-  }
+  std::vector<double> ReadDoubleVector() { return ReadPodVector<double>(); }
 
   /// Reads a u64 element count and validates that `count * element_bytes`
   /// fits in the remaining input (the resize guard for corrupt lengths).
@@ -180,7 +175,8 @@ class Reader {
   std::vector<T> ReadPodVector() {
     std::vector<T> out;
     const size_t n = ReadLength(sizeof(T));
-    if (!ok()) return out;
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (!ok() || n == 0) return out;
     out.resize(n);
     std::memcpy(out.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);

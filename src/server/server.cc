@@ -132,14 +132,18 @@ void DemonServer::ServeConnection(int fd) {
       break;
     }
   }
-  ::close(fd);
-  MutexLock lock(mutex_);
-  for (size_t i = 0; i < connection_fds_.size(); ++i) {
-    if (connection_fds_[i] == fd) {
-      connection_fds_.erase(connection_fds_.begin() + i);
-      break;
+  // Deregister before closing: once closed, the fd number can be reused
+  // by another accept or open, and Stop() must never shutdown() it.
+  {
+    MutexLock lock(mutex_);
+    for (size_t i = 0; i < connection_fds_.size(); ++i) {
+      if (connection_fds_[i] == fd) {
+        connection_fds_.erase(connection_fds_.begin() + i);
+        break;
+      }
     }
   }
+  ::close(fd);
 }
 
 Response DemonServer::Handle(const Request& request,

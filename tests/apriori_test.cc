@@ -56,9 +56,10 @@ GroundTruth BruteForce(
       continue;
     }
     bool all_subsets_frequent = true;
+    Itemset subset;
     for (size_t drop = 0; drop < itemset.size() && all_subsets_frequent;
          ++drop) {
-      const Itemset subset = WithoutIndex(itemset, drop);
+      AssignWithoutIndex(itemset, drop, &subset);
       if (subset.empty()) continue;
       all_subsets_frequent = counts[subset] >= min_count;
     }

@@ -12,7 +12,9 @@ TEST(ItemsetTest, SubsetAndUnionHelpers) {
   EXPECT_FALSE(IsSubset({1, 4}, {1, 2, 3}));
   EXPECT_TRUE(IsSubset({}, {1}));
   EXPECT_EQ(Union({1, 3}, {2, 3}), (Itemset{1, 2, 3}));
-  EXPECT_EQ(WithoutIndex({5, 7, 9}, 1), (Itemset{5, 9}));
+  Itemset subset = {1};  // overwritten, not appended to
+  AssignWithoutIndex(Itemset{5, 7, 9}, 1, &subset);
+  EXPECT_EQ(subset, (Itemset{5, 9}));
   EXPECT_EQ(ToString({1, 5}), "{1, 5}");
   EXPECT_EQ(ToString({}), "{}");
 }

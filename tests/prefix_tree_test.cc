@@ -191,7 +191,7 @@ TEST(PrefixTreeTest, RandomizedDeepItemsetsAgainstBruteForce) {
 }
 
 // The shape BORDERS detection hands over: a downward-closed family of
-// mixed sizes in hash-map order, with duplicates. Each duplicate must get
+// mixed sizes in no sorted order, with duplicates. Each duplicate must get
 // the same count as its first copy.
 TEST(PrefixTreeTest, ShuffledDuplicatesAndMixedSizes) {
   QuestParams params;
@@ -224,6 +224,45 @@ TEST(PrefixTreeTest, ShuffledDuplicatesAndMixedSizes) {
       EXPECT_EQ(tree.CountOf(i), tree.CountOf(it->second))
           << ToString(itemsets[i]);
     }
+  }
+}
+
+// BORDERS detection builds from its model's key arena instead of a copied
+// list: the flat build must count, position by position, exactly as the
+// build from the vector list does.
+TEST(PrefixTreeTest, FlatListCountsLikeVectorList) {
+  QuestParams params;
+  params.num_transactions = 800;
+  params.num_items = 50;
+  params.num_patterns = 20;
+  params.avg_transaction_len = 8;
+  QuestGenerator gen(params);
+  const TransactionBlock block = gen.GenerateAll();
+
+  Rng rng(33);
+  std::vector<Itemset> itemsets;
+  for (int i = 0; i < 400; ++i) {
+    itemsets.push_back(RandomItemset(&rng, 5, params.num_items));
+  }
+  itemsets.push_back(itemsets[17]);  // a duplicate, as in any list
+  std::vector<Item> arena;
+  std::vector<uint32_t> offsets = {0};
+  for (const Itemset& itemset : itemsets) {
+    arena.insert(arena.end(), itemset.begin(), itemset.end());
+    offsets.push_back(static_cast<uint32_t>(arena.size()));
+  }
+
+  PrefixTree from_vector;
+  PrefixTree from_flat;
+  from_vector.Build(itemsets);
+  from_flat.Build(FlatItemsets(arena, offsets));
+  for (const Transaction& t : block.transactions()) {
+    from_vector.CountTransaction(t);
+    from_flat.CountTransaction(t);
+  }
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    EXPECT_EQ(from_flat.CountOf(i), from_vector.CountOf(i))
+        << ToString(itemsets[i]);
   }
 }
 
