@@ -81,11 +81,12 @@ void BM_PrefixTreeCount(benchmark::State& state) {
   }
   PrefixTree tree;
   tree.Build(itemsets);
+  std::vector<uint64_t> counts(tree.num_nodes(), 0);
   for (auto _ : state) {
     for (const Transaction& t : block.transactions()) {
-      tree.CountTransaction(t);
+      tree.CountTransaction(t, counts);
     }
-    benchmark::DoNotOptimize(tree.CountOf(0));
+    benchmark::DoNotOptimize(tree.CountOf(0, counts));
   }
   state.SetItemsProcessed(state.iterations() * block.size());
 }

@@ -47,6 +47,15 @@ Transaction MakeRecord(uint64_t tenant_index, uint64_t index) {
   return Transaction(std::move(items));
 }
 
+std::string TenantName(uint64_t tenant_index) {
+  // Appended piecewise: "t" + std::to_string(...) trips GCC 12's
+  // -Wrestrict false positive (PR105329) under -O2, which -Werror builds
+  // turn fatal.
+  std::string name = "t";
+  name += std::to_string(tenant_index);
+  return name;
+}
+
 struct RunResult {
   double records_per_second = 0.0;
   double seconds = 0.0;
@@ -79,7 +88,7 @@ RunResult RunServer(const std::string& data_dir, uint64_t tenants,
       for (uint64_t t = w; t < tenants; t += connections) {
         Request create;
         create.type = MsgType::kCreateTenant;
-        create.tenant = "t" + std::to_string(t);
+        create.tenant = TenantName(t);
         create.num_items = kNumItems;
         MonitorSpec spec;
         spec.kind = MonitorKind::kUnrestrictedItemsets;
@@ -92,7 +101,7 @@ RunResult RunServer(const std::string& data_dir, uint64_t tenants,
           const uint64_t n = std::min(batch, records - cursor);
           Request append;
           append.type = MsgType::kAppendBatch;
-          append.tenant = "t" + std::to_string(t);
+          append.tenant = TenantName(t);
           append.first_record_index = cursor;
           append.transactions.reserve(n);
           for (uint64_t i = 0; i < n; ++i) {

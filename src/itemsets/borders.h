@@ -181,8 +181,8 @@ class BordersMaintainer {
   std::vector<std::shared_ptr<const TransactionBlock>> blocks_;
   TidListStore tidlists_;
   UpdateStats last_stats_;
-  /// Reusable (optionally parallel) support-counting kernel. Copies of a
-  /// maintainer share the pool binding but not the scratch buffers.
+  /// The (optionally parallel) support-counting kernel: a pool and
+  /// telemetry binding, no buffers, so copies of a maintainer share it.
   CountingContext counting_;
   /// All null in DEMON_TELEMETRY=OFF builds (see set_telemetry).
   telemetry::TelemetryRegistry* telemetry_ = nullptr;

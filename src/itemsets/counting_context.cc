@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
+#include "itemsets/prefix_tree.h"
 
 namespace demon {
 
@@ -28,6 +31,149 @@ std::pair<size_t, size_t> ShardRange(size_t work, size_t shard,
   const size_t extra = work % shards;
   const size_t begin = shard * base + std::min(shard, extra);
   return {begin, begin + base + (shard < extra ? 1 : 0)};
+}
+
+// Sums the equal-length per-shard arrays `partials` into partials[0],
+// sharded over `pool` by index range: each part adds every shard's slice
+// [lo, hi) into shard 0's, so the merge costs shards x length / parts.
+void SumIntoFirst(ThreadPool* pool,
+                  std::vector<std::vector<uint64_t>>* partials) {
+  const size_t shards = partials->size();
+  if (shards <= 1) return;
+  const size_t length = (*partials)[0].size();
+  ParallelFor(pool, shards, [&](size_t part) {
+    const auto [lo, hi] = ShardRange(length, part, shards);
+    uint64_t* sum = (*partials)[0].data();
+    for (size_t shard = 1; shard < shards; ++shard) {
+      const uint64_t* partial = (*partials)[shard].data();
+      for (size_t i = lo; i < hi; ++i) sum[i] += partial[i];
+    }
+  });
+}
+
+// Folds every shard's stats into `*stats` (no-op when null).
+void MergeStats(const std::vector<CountingStats>& shard_stats,
+                CountingStats* stats) {
+  if (stats == nullptr) return;
+  for (const CountingStats& s : shard_stats) {
+    stats->slots_fetched += s.slots_fetched;
+    stats->lists_opened += s.lists_opened;
+  }
+}
+
+// Estimated total TID slots an ECUT pass over `itemsets` touches, from
+// directory cardinalities only (no payload I/O): each itemset is charged
+// its smallest item's total list size across blocks.
+uint64_t EstimateEcutSlots(const std::vector<Itemset>& itemsets,
+                           const TidListStore& store) {
+  constexpr uint64_t kUnknown = std::numeric_limits<uint64_t>::max();
+  size_t num_items = 0;
+  for (const auto& block : store.blocks()) {
+    num_items = std::max(num_items, block->num_items());
+  }
+  // Per-item totals are filled lazily: only items the batch actually
+  // names are summed.
+  std::vector<uint64_t> item_totals(num_items, kUnknown);
+  uint64_t total = 0;
+  for (const Itemset& itemset : itemsets) {
+    uint64_t best = kUnknown;
+    for (Item item : itemset) {
+      if (item >= num_items) {
+        best = 0;
+        break;
+      }
+      uint64_t& slot = item_totals[item];
+      if (slot == kUnknown) {
+        uint64_t sum = 0;
+        for (const auto& block : store.blocks()) {
+          if (item < block->num_items()) sum += block->ItemListSize(item);
+        }
+        slot = sum;
+      }
+      best = std::min(best, slot);
+    }
+    total += best == kUnknown ? 0 : best;
+  }
+  return total;
+}
+
+// One entry of an ECUT+ cover plan: a materialized pair (is_pair) or a
+// single item (b unused).
+struct CoverEntry {
+  Item a = 0;
+  Item b = 0;
+  bool is_pair = false;
+};
+
+// Appends the cover plan for `itemset` to `*plan` (ECUT: one item list per
+// item; ECUT+: greedy pair cover by smallest total size). Reads only
+// directory metadata, so it is valid for evicted blocks.
+void BuildCoverPlan(const Itemset& itemset, const TidListStore& store,
+                    bool use_pair_lists, std::vector<CoverEntry>* plan) {
+  DEMON_CHECK(!itemset.empty());
+  const size_t k = itemset.size();
+  bool any_pair_lists = false;
+  if (use_pair_lists && k >= 2) {
+    for (const auto& block : store.blocks()) {
+      if (block->num_pair_lists() > 0) {
+        any_pair_lists = true;
+        break;
+      }
+    }
+  }
+  if (!any_pair_lists) {
+    for (Item item : itemset) plan->push_back({item, 0, false});
+    return;
+  }
+
+  // ECUT+ covering rule (paper §3.1.1), hoisted out of the per-block loop:
+  // greedily pick the materialized pair with the smallest *total* list
+  // size across blocks whose two items are still uncovered; cover the
+  // remainder with item lists. Sizes come from the always-resident
+  // directory, so planning touches no payload and triggers no page-in.
+  // Any cover intersects to the exact support, so hoisting never changes
+  // counts — blocks missing a chosen pair fall back to the pair's two item
+  // lists at count time. The greedy score stays cardinality-based even
+  // though encoded byte costs differ: cardinality bounds every kernel's
+  // work, while encoded size only bounds its input scan.
+  constexpr uint64_t kUnmaterialized = std::numeric_limits<uint64_t>::max();
+  std::vector<uint64_t> pair_sizes(k * k, kUnmaterialized);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      uint64_t total = kUnmaterialized;
+      for (const auto& block : store.blocks()) {
+        if (!block->HasPairList(itemset[i], itemset[j])) continue;
+        if (total == kUnmaterialized) total = 0;
+        total += block->PairListSize(itemset[i], itemset[j]);
+      }
+      pair_sizes[i * k + j] = total;
+    }
+  }
+  std::vector<bool> covered(k, false);
+  for (;;) {
+    uint64_t best_size = kUnmaterialized;
+    size_t best_i = 0;
+    size_t best_j = 0;
+    for (size_t i = 0; i < k; ++i) {
+      if (covered[i]) continue;
+      for (size_t j = i + 1; j < k; ++j) {
+        if (covered[j]) continue;
+        const uint64_t size = pair_sizes[i * k + j];
+        if (size < best_size) {
+          best_size = size;
+          best_i = i;
+          best_j = j;
+        }
+      }
+    }
+    if (best_size == kUnmaterialized) break;
+    plan->push_back({itemset[best_i], itemset[best_j], true});
+    covered[best_i] = true;
+    covered[best_j] = true;
+  }
+  for (size_t i = 0; i < k; ++i) {
+    if (!covered[i]) plan->push_back({itemset[i], 0, false});
+  }
 }
 
 }  // namespace
@@ -75,30 +221,11 @@ void CountingContext::CacheMetrics() {
   }
 }
 
-void CountingContext::PrepareScratch(size_t shards) {
-  while (scratch_.size() < shards) {
-    scratch_.push_back(std::make_unique<Scratch>());
-  }
-  for (size_t i = 0; i < shards; ++i) {
-    scratch_[i]->stats = CountingStats{};
-    scratch_[i]->touched = 0;
-  }
-}
-
-void CountingContext::MergeStats(size_t shards, CountingStats* stats) const {
-  if (stats == nullptr) return;
-  for (size_t i = 0; i < shards; ++i) {
-    stats->slots_fetched += scratch_[i]->stats.slots_fetched;
-    stats->lists_opened += scratch_[i]->stats.lists_opened;
-    stats->slots_fetched += scratch_[i]->touched;
-  }
-}
-
 template <typename List>
 std::vector<uint64_t> CountingContext::PtScanOver(
     const List& itemsets,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    CountingStats* stats) {
+    CountingStats* stats) const {
   if (itemsets.size() == 0) return {};
   DEMON_TRACE_SPAN(call_span, telemetry_, "pt-scan", "counting");
   [[maybe_unused]] const uint64_t call_span_id = DEMON_SPAN_ID(call_span);
@@ -107,60 +234,58 @@ std::vector<uint64_t> CountingContext::PtScanOver(
   for (const auto& block : blocks) total_transactions += block->size();
   const size_t shards =
       ShardCountFor(total_transactions, kMinTransactionsPerShard);
-  PrepareScratch(shards);
 
-  // Build the tree once in shard 0's scratch and give every shard its own
-  // copy (flat arrays, so the copy is a few memcpys).
-  PrefixTree& tree = scratch_[0]->tree;
+  // One tree for the call, read by every shard; each shard counts into
+  // its own array (zeroed by the shard itself, so the fill runs in
+  // parallel too). All of it is freed when the call returns.
+  PrefixTree tree;
   tree.Build(itemsets);
-  for (size_t s = 1; s < shards; ++s) scratch_[s]->tree = tree;
+  std::vector<std::vector<uint64_t>> shard_counts(shards);
+  std::vector<uint64_t> touched(shards, 0);
 
   const bool collect_stats = CollectStats(stats);
-  ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
+  ThreadPool* pool = shards > 1 ? pool_ : nullptr;
+  ParallelFor(pool, shards, [&](size_t shard) {
     // The dispatching thread claims shards too, but workers have an empty
     // span stack, so the parent must travel explicitly.
     DEMON_TRACE_SPAN_UNDER(shard_span, telemetry_,
                            "pt-scan shard " + std::to_string(shard),
                            "counting", call_span_id);
-    Scratch& s = *scratch_[shard];
+    std::vector<uint64_t>& counts = shard_counts[shard];
+    counts.assign(tree.num_nodes(), 0);
     const auto [begin, end] = ShardRange(total_transactions, shard, shards);
-    uint64_t touched = 0;
+    uint64_t shard_touched = 0;
     size_t offset = 0;
     for (const auto& block : blocks) {
       if (offset >= end) break;
       const auto& transactions = block->transactions();
       const size_t lo = begin > offset ? begin - offset : 0;
-      const size_t hi = std::min(transactions.size(),
-                                 end - offset);
+      const size_t hi = std::min(transactions.size(), end - offset);
       if (collect_stats) {
         for (size_t i = lo; i < hi; ++i) {
-          s.tree.CountTransaction(transactions[i]);
-          touched += transactions[i].size();
+          tree.CountTransaction(transactions[i], counts);
+          shard_touched += transactions[i].size();
         }
       } else {
         for (size_t i = lo; i < hi; ++i) {
-          s.tree.CountTransaction(transactions[i]);
+          tree.CountTransaction(transactions[i], counts);
         }
       }
       offset += transactions.size();
     }
-    s.touched = touched;
+    touched[shard] = shard_touched;
   });
+  SumIntoFirst(pool, &shard_counts);
 
-  std::vector<uint64_t> counts(itemsets.size(), 0);
-  for (size_t shard = 0; shard < shards; ++shard) {
-    const PrefixTree& shard_tree = scratch_[shard]->tree;
-    for (size_t i = 0; i < counts.size(); ++i) {
-      counts[i] += shard_tree.CountOf(i);
-    }
+  std::vector<uint64_t> counts(itemsets.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = tree.CountOf(i, shard_counts[0]);
   }
-  MergeStats(shards, stats);
+  uint64_t total_touched = 0;
+  for (const uint64_t t : touched) total_touched += t;
+  if (stats != nullptr) stats->slots_fetched += total_touched;
   if (slots_fetched_ != nullptr) {
-    uint64_t touched = 0;
-    for (size_t shard = 0; shard < shards; ++shard) {
-      touched += scratch_[shard]->touched;
-    }
-    slots_fetched_->Add(touched);
+    slots_fetched_->Add(total_touched);
     transactions_scanned_->Add(total_transactions);
     itemsets_counted_->Add(itemsets.size());
   }
@@ -170,124 +295,20 @@ std::vector<uint64_t> CountingContext::PtScanOver(
 std::vector<uint64_t> CountingContext::PtScan(
     const std::vector<Itemset>& itemsets,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    CountingStats* stats) {
+    CountingStats* stats) const {
   return PtScanOver(itemsets, blocks, stats);
 }
 
 std::vector<uint64_t> CountingContext::PtScan(
     const FlatItemsets& itemsets,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    CountingStats* stats) {
+    CountingStats* stats) const {
   return PtScanOver(itemsets, blocks, stats);
-}
-
-uint64_t CountingContext::EstimateEcutSlots(
-    const std::vector<Itemset>& itemsets, const TidListStore& store) {
-  constexpr uint64_t kUnknown = std::numeric_limits<uint64_t>::max();
-  size_t num_items = 0;
-  for (const auto& block : store.blocks()) {
-    num_items = std::max(num_items, block->num_items());
-  }
-  // Per-item totals are filled lazily — only items the batch actually
-  // names are summed — into a buffer reused across calls.
-  item_totals_.assign(num_items, kUnknown);
-  uint64_t total = 0;
-  for (const Itemset& itemset : itemsets) {
-    uint64_t best = kUnknown;
-    for (Item item : itemset) {
-      if (item >= num_items) {
-        best = 0;
-        break;
-      }
-      uint64_t& slot = item_totals_[item];
-      if (slot == kUnknown) {
-        uint64_t sum = 0;
-        for (const auto& block : store.blocks()) {
-          if (item < block->num_items()) sum += block->ItemListSize(item);
-        }
-        slot = sum;
-      }
-      best = std::min(best, slot);
-    }
-    total += best == kUnknown ? 0 : best;
-  }
-  return total;
-}
-
-void CountingContext::BuildCoverPlan(const Itemset& itemset,
-                                     const TidListStore& store,
-                                     bool use_pair_lists, Scratch* s,
-                                     std::vector<CoverEntry>* plan) const {
-  DEMON_CHECK(!itemset.empty());
-  plan->clear();
-  const size_t k = itemset.size();
-  bool any_pair_lists = false;
-  if (use_pair_lists && k >= 2) {
-    for (const auto& block : store.blocks()) {
-      if (block->num_pair_lists() > 0) {
-        any_pair_lists = true;
-        break;
-      }
-    }
-  }
-  if (!any_pair_lists) {
-    for (Item item : itemset) plan->push_back({item, 0, false});
-    return;
-  }
-
-  // ECUT+ covering rule (paper §3.1.1), hoisted out of the per-block loop:
-  // greedily pick the materialized pair with the smallest *total* list
-  // size across blocks whose two items are still uncovered; cover the
-  // remainder with item lists. Sizes come from the always-resident
-  // directory, so planning touches no payload and triggers no page-in.
-  // Any cover intersects to the exact support, so hoisting never changes
-  // counts — blocks missing a chosen pair fall back to the pair's two item
-  // lists at count time. The greedy score stays cardinality-based even
-  // though encoded byte costs differ: cardinality bounds every kernel's
-  // work, while encoded size only bounds its input scan.
-  constexpr uint64_t kUnmaterialized = std::numeric_limits<uint64_t>::max();
-  s->pair_sizes.assign(k * k, kUnmaterialized);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      uint64_t total = kUnmaterialized;
-      for (const auto& block : store.blocks()) {
-        if (!block->HasPairList(itemset[i], itemset[j])) continue;
-        if (total == kUnmaterialized) total = 0;
-        total += block->PairListSize(itemset[i], itemset[j]);
-      }
-      s->pair_sizes[i * k + j] = total;
-    }
-  }
-  s->covered.assign(k, false);
-  for (;;) {
-    uint64_t best_size = kUnmaterialized;
-    size_t best_i = 0;
-    size_t best_j = 0;
-    for (size_t i = 0; i < k; ++i) {
-      if (s->covered[i]) continue;
-      for (size_t j = i + 1; j < k; ++j) {
-        if (s->covered[j]) continue;
-        const uint64_t size = s->pair_sizes[i * k + j];
-        if (size < best_size) {
-          best_size = size;
-          best_i = i;
-          best_j = j;
-        }
-      }
-    }
-    if (best_size == kUnmaterialized) break;
-    plan->push_back({itemset[best_i], itemset[best_j], true});
-    s->covered[best_i] = true;
-    s->covered[best_j] = true;
-  }
-  for (size_t i = 0; i < k; ++i) {
-    if (!s->covered[i]) plan->push_back({itemset[i], 0, false});
-  }
 }
 
 std::vector<uint64_t> CountingContext::Ecut(
     const std::vector<Itemset>& itemsets, const TidListStore& store,
-    bool use_pair_lists, CountingStats* stats) {
+    bool use_pair_lists, CountingStats* stats) const {
   std::vector<uint64_t> counts(itemsets.size(), 0);
   if (itemsets.empty()) return counts;
   DEMON_TRACE_SPAN(call_span, telemetry_, use_pair_lists ? "ecut+" : "ecut",
@@ -303,7 +324,6 @@ std::vector<uint64_t> CountingContext::Ecut(
     shards = std::min(shards, static_cast<size_t>(std::max<uint64_t>(
                                   1, slots / kMinSlotsPerShard)));
   }
-  PrepareScratch(shards);
 
   // Resident blocks first: while this shard set works through the already
   // in-memory blocks, nothing waits on disk; each evicted block is then
@@ -315,72 +335,80 @@ std::vector<uint64_t> CountingContext::Ecut(
 
   const bool collect_stats = CollectStats(stats);
   const bool time_intersections = intersect_seconds_[0][0] != nullptr;
+  std::vector<CountingStats> shard_stats(shards);
   ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
     DEMON_TRACE_SPAN_UNDER(shard_span, telemetry_,
                            "ecut shard " + std::to_string(shard), "counting",
                            call_span_id);
-    Scratch& s = *scratch_[shard];
+    CountingStats& shard_stat = shard_stats[shard];
     const auto [begin, end] = ShardRange(itemsets.size(), shard, shards);
-    const size_t range = end - begin;
-    // Phase 1: plans for the whole range, from directory metadata only.
-    if (s.plans.size() < range) s.plans.resize(range);
+    // Phase 1: plans for the whole range, from directory metadata only,
+    // flat: itemset i's plan is plans[plan_begin[i - begin],
+    // plan_begin[i - begin + 1]).
+    std::vector<CoverEntry> plans;
+    std::vector<size_t> plan_begin = {0};
+    plan_begin.reserve(end - begin + 1);
     for (size_t i = begin; i < end; ++i) {
-      BuildCoverPlan(itemsets[i], store, use_pair_lists, &s,
-                     &s.plans[i - begin]);
+      BuildCoverPlan(itemsets[i], store, use_pair_lists, &plans);
+      plan_begin.push_back(plans.size());
     }
     // Phase 2: block-outer loop; counts[i] slots are disjoint per shard.
+    std::vector<TidListView> views;
+    IntersectionScratch intersect;
     for (const uint32_t block_index : block_order) {
       const BlockTidLists& block = store.block(block_index);
       const TidListLease lease = block.Lease();
       for (size_t i = begin; i < end; ++i) {
-        s.views.clear();
-        for (const CoverEntry& entry : s.plans[i - begin]) {
+        views.clear();
+        for (size_t e = plan_begin[i - begin]; e < plan_begin[i - begin + 1];
+             ++e) {
+          const CoverEntry& entry = plans[e];
           if (entry.is_pair && block.HasPairList(entry.a, entry.b)) {
-            s.views.push_back(block.PairView(entry.a, entry.b));
+            views.push_back(block.PairView(entry.a, entry.b));
           } else if (entry.is_pair) {
-            s.views.push_back(block.ItemView(entry.a));
-            s.views.push_back(block.ItemView(entry.b));
+            views.push_back(block.ItemView(entry.a));
+            views.push_back(block.ItemView(entry.b));
           } else {
-            s.views.push_back(block.ItemView(entry.a));
+            views.push_back(block.ItemView(entry.a));
           }
         }
         if (collect_stats) {
-          s.stats.lists_opened += s.views.size();
-          for (const TidListView& view : s.views) {
-            s.stats.slots_fetched += view.size();
+          shard_stat.lists_opened += views.size();
+          for (const TidListView& view : views) {
+            shard_stat.slots_fetched += view.size();
           }
         }
-        if (time_intersections && s.views.size() >= 2) {
+        if (time_intersections && views.size() >= 2) {
           // Key the histogram by the encodings of the two smallest views —
           // the pair the k-way kernel folds first, which dominates cost.
           size_t small0 = 0;
           size_t small1 = 1;
-          if (s.views[small1].num_tids < s.views[small0].num_tids) {
+          if (views[small1].num_tids < views[small0].num_tids) {
             std::swap(small0, small1);
           }
-          for (size_t v = 2; v < s.views.size(); ++v) {
-            if (s.views[v].num_tids < s.views[small0].num_tids) {
+          for (size_t v = 2; v < views.size(); ++v) {
+            if (views[v].num_tids < views[small0].num_tids) {
               small1 = small0;
               small0 = v;
-            } else if (s.views[v].num_tids < s.views[small1].num_tids) {
+            } else if (views[v].num_tids < views[small1].num_tids) {
               small1 = v;
             }
           }
           telemetry::ScopedTimer timer(
-              intersect_seconds_[static_cast<uint8_t>(
-                  s.views[small0].encoding)][static_cast<uint8_t>(
-                  s.views[small1].encoding)]);
-          counts[i] += IntersectionSize(s.views, &s.intersect);
+              intersect_seconds_[static_cast<uint8_t>(views[small0].encoding)]
+                                [static_cast<uint8_t>(
+                                    views[small1].encoding)]);
+          counts[i] += IntersectionSize(views, &intersect);
         } else {
-          counts[i] += IntersectionSize(s.views, &s.intersect);
+          counts[i] += IntersectionSize(views, &intersect);
         }
       }
     }
   });
-  MergeStats(shards, stats);
+  MergeStats(shard_stats, stats);
   if (slots_fetched_ != nullptr) {
     CountingStats merged;
-    MergeStats(shards, &merged);
+    MergeStats(shard_stats, &merged);
     slots_fetched_->Add(merged.slots_fetched);
     lists_opened_->Add(merged.lists_opened);
     itemsets_counted_->Add(itemsets.size());
@@ -391,7 +419,7 @@ std::vector<uint64_t> CountingContext::Ecut(
 std::vector<uint64_t> CountingContext::Count(
     CountingStrategy strategy, const std::vector<Itemset>& itemsets,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    const TidListStore& store, CountingStats* stats) {
+    const TidListStore& store, CountingStats* stats) const {
   switch (strategy) {
     case CountingStrategy::kPtScan:
       return PtScan(itemsets, blocks, stats);
@@ -405,21 +433,22 @@ std::vector<uint64_t> CountingContext::Count(
 
 std::vector<uint64_t> CountingContext::CountItems(
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    size_t num_items) {
+    size_t num_items) const {
   size_t total_transactions = 0;
   for (const auto& block : blocks) total_transactions += block->size();
   DEMON_TRACE_SPAN(call_span, telemetry_, "count-items", "counting");
   [[maybe_unused]] const uint64_t call_span_id = DEMON_SPAN_ID(call_span);
   const size_t shards =
       ShardCountFor(total_transactions, kMinTransactionsPerShard);
-  PrepareScratch(shards);
 
-  ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
+  std::vector<std::vector<uint64_t>> shard_counts(shards);
+  ThreadPool* pool = shards > 1 ? pool_ : nullptr;
+  ParallelFor(pool, shards, [&](size_t shard) {
     DEMON_TRACE_SPAN_UNDER(shard_span, telemetry_,
                            "count-items shard " + std::to_string(shard),
                            "counting", call_span_id);
-    Scratch& s = *scratch_[shard];
-    s.item_counts.assign(num_items, 0);
+    std::vector<uint64_t>& item_counts = shard_counts[shard];
+    item_counts.assign(num_items, 0);
     const auto [begin, end] = ShardRange(total_transactions, shard, shards);
     size_t offset = 0;
     for (const auto& block : blocks) {
@@ -430,24 +459,17 @@ std::vector<uint64_t> CountingContext::CountItems(
       for (size_t i = lo; i < hi; ++i) {
         for (Item item : transactions[i].items()) {
           DEMON_CHECK_MSG(item < num_items, "item outside universe");
-          ++s.item_counts[item];
+          ++item_counts[item];
         }
       }
       offset += transactions.size();
     }
   });
-
-  std::vector<uint64_t> counts(num_items, 0);
-  for (size_t shard = 0; shard < shards; ++shard) {
-    const auto& partial = scratch_[shard]->item_counts;
-    for (size_t item = 0; item < num_items; ++item) {
-      counts[item] += partial[item];
-    }
-  }
+  SumIntoFirst(pool, &shard_counts);
   if (transactions_scanned_ != nullptr) {
     transactions_scanned_->Add(total_transactions);
   }
-  return counts;
+  return std::move(shard_counts[0]);
 }
 
 }  // namespace demon

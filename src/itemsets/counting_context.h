@@ -8,7 +8,6 @@
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "data/block.h"
-#include "itemsets/prefix_tree.h"
 #include "itemsets/support_counting.h"
 #include "tidlist/tidlist.h"
 #include "tidlist/tidlist_store.h"
@@ -16,9 +15,7 @@
 namespace demon {
 
 /// \brief The support-counting kernel behind PT-Scan, ECUT and ECUT+:
-/// parallel across an optional shared ThreadPool and, apart from PT-Scan's
-/// per-call tree build, allocation-free in steady state via per-shard
-/// scratch buffers that persist across calls.
+/// parallel across an optional shared ThreadPool.
 ///
 /// Figures 2 and 4-7 — the paper's core claims — are pure support-counting
 /// benchmarks, so this is the hot path of every itemset monitor. A context
@@ -33,11 +30,12 @@ namespace demon {
 /// slots, PT-Scan sums per-shard uint64 counts (integer addition is
 /// order-independent), and stats are merged as sums.
 ///
-/// A context belongs to one maintainer and is not itself thread-safe: one
-/// counting call at a time. Distinct contexts may share a pool freely.
-/// Copying a context copies only the pool and telemetry bindings —
-/// scratch is a cache and is rebuilt lazily — which keeps
-/// BordersMaintainer cheaply copyable.
+/// A context holds its pool and telemetry bindings and nothing else: every
+/// buffer a call uses (PT-Scan's tree and per-shard count arrays, ECUT's
+/// plans, views and intersection scratch) is a local of that call, so a
+/// maintainer's state between blocks is its model, not the last call's
+/// scratch. Calls are const and may run concurrently; distinct contexts
+/// may share a pool freely, and copying one copies its bindings.
 class CountingContext {
  public:
   /// A sequential context (no pool).
@@ -47,19 +45,6 @@ class CountingContext {
   /// sequential operation). With a pool of one worker, counting stays on
   /// the calling thread.
   explicit CountingContext(ThreadPool* pool) : pool_(pool) {}
-
-  CountingContext(const CountingContext& other)
-      : pool_(other.pool_), telemetry_(other.telemetry_) {
-    CacheMetrics();
-  }
-  CountingContext& operator=(const CountingContext& other) {
-    pool_ = other.pool_;
-    telemetry_ = other.telemetry_;
-    CacheMetrics();
-    return *this;
-  }
-  CountingContext(CountingContext&&) = default;
-  CountingContext& operator=(CountingContext&&) = default;
 
   /// Rebinds the pool (null returns the context to sequential mode).
   void set_pool(ThreadPool* pool) { pool_ = pool; }
@@ -78,24 +63,25 @@ class CountingContext {
   }
   telemetry::TelemetryRegistry* telemetry() const { return telemetry_; }
 
-  /// PT-Scan: one pass over all transactions of `blocks` with per-shard
-  /// prefix-tree clones summed after the barrier. Stats accumulate into
+  /// PT-Scan: one pass over all transactions of `blocks`. The call builds
+  /// one prefix tree that every shard reads; each shard counts its
+  /// transactions into its own count array, and the arrays are summed
+  /// after the barrier, sharded by node range. Stats accumulate into
   /// `*stats` when non-null; the non-instrumented path pays nothing for
   /// them.
   std::vector<uint64_t> PtScan(
       const std::vector<Itemset>& itemsets,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      CountingStats* stats = nullptr);
+      CountingStats* stats = nullptr) const;
   /// The same over a flat list — BORDERS detection counts its model's key
   /// arena in place.
   std::vector<uint64_t> PtScan(
       const FlatItemsets& itemsets,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      CountingStats* stats = nullptr);
+      CountingStats* stats = nullptr) const;
 
   /// ECUT / ECUT+: candidate itemsets are sharded across the pool; each
-  /// shard intersects per-block TID-list views with its own reusable
-  /// buffers. The ECUT+ covering of an itemset by materialized pair lists
+  /// shard intersects per-block TID-list views with its own buffers. The ECUT+ covering of an itemset by materialized pair lists
   /// is computed once per itemset from the always-resident directory (no
   /// payload I/O); a chosen pair falls back to its two item lists in
   /// blocks where it is not materialized, which leaves the counts exact
@@ -108,49 +94,23 @@ class CountingContext {
   /// Block visit order never changes counts (per-block supports sum).
   std::vector<uint64_t> Ecut(const std::vector<Itemset>& itemsets,
                              const TidListStore& store, bool use_pair_lists,
-                             CountingStats* stats = nullptr);
+                             CountingStats* stats = nullptr) const;
 
   /// Dispatches on `strategy`. PT-Scan uses `blocks`; ECUT variants use
   /// `store`.
   std::vector<uint64_t> Count(
       CountingStrategy strategy, const std::vector<Itemset>& itemsets,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      const TidListStore& store, CountingStats* stats = nullptr);
+      const TidListStore& store, CountingStats* stats = nullptr) const;
 
   /// Level-1 counting: occurrences of every item of [0, num_items) across
   /// `blocks`, sharded over transactions with per-shard dense arrays
   /// (Apriori's base level).
   std::vector<uint64_t> CountItems(
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      size_t num_items);
+      size_t num_items) const;
 
  private:
-  /// One entry of an ECUT+ cover plan: a materialized pair (is_pair) or a
-  /// single item (b unused).
-  struct CoverEntry {
-    Item a = 0;
-    Item b = 0;
-    bool is_pair = false;
-  };
-
-  /// Per-shard reusable state. unique_ptr entries keep addresses stable
-  /// while workers use them.
-  struct Scratch {
-    /// PT-Scan's candidate tree (built once per call in shard 0, copied
-    /// to the others).
-    PrefixTree tree;
-    std::vector<uint64_t> item_counts;
-    IntersectionScratch intersect;
-    std::vector<TidListView> views;
-    /// Cover plans for the shard's itemset range, built before any block
-    /// payload is touched.
-    std::vector<std::vector<CoverEntry>> plans;
-    std::vector<uint64_t> pair_sizes;
-    std::vector<bool> covered;
-    CountingStats stats;
-    uint64_t touched = 0;
-  };
-
   /// Number of shards for `work` units with at least `min_per_shard` units
   /// each — 1 without a pool; with one, at most the calling thread plus
   /// the pool's unborrowed parallelism tokens (ThreadPool's pool-wide
@@ -160,32 +120,12 @@ class CountingContext {
   /// BENCH_engine.json.
   size_t ShardCountFor(size_t work, size_t min_per_shard) const;
 
-  /// Estimated total TID slots an ECUT pass over `itemsets` touches, from
-  /// directory cardinalities only (no payload I/O): each itemset is
-  /// charged its smallest item's total list size across blocks. Fills
-  /// item_totals_ lazily for the items the batch names.
-  uint64_t EstimateEcutSlots(const std::vector<Itemset>& itemsets,
-                             const TidListStore& store);
-
   /// PT-Scan over either list form.
   template <typename List>
   std::vector<uint64_t> PtScanOver(
       const List& itemsets,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      CountingStats* stats);
-
-  /// Grows scratch_ to `shards` entries and resets their per-call stats.
-  void PrepareScratch(size_t shards);
-
-  /// Folds every shard's stats into `*stats` (no-op when null).
-  void MergeStats(size_t shards, CountingStats* stats) const;
-
-  /// Computes the cover plan for `itemset` into `*plan` (ECUT: one item
-  /// list per item; ECUT+: greedy pair cover by smallest total size).
-  /// Reads only directory metadata — valid for evicted blocks.
-  void BuildCoverPlan(const Itemset& itemset, const TidListStore& store,
-                      bool use_pair_lists, Scratch* s,
-                      std::vector<CoverEntry>* plan) const;
+      CountingStats* stats) const;
 
   /// Re-resolves the cached counter pointers from telemetry_ (all null
   /// when unbound, so the hot paths test one pointer).
@@ -198,10 +138,6 @@ class CountingContext {
   }
 
   ThreadPool* pool_ = nullptr;
-  std::vector<std::unique_ptr<Scratch>> scratch_;
-  /// Lazy per-item total-cardinality cache for EstimateEcutSlots (reused
-  /// buffer; rebuilt each Ecut call).
-  std::vector<uint64_t> item_totals_;
   /// All null in DEMON_TELEMETRY=OFF builds (see set_telemetry).
   telemetry::TelemetryRegistry* telemetry_ = nullptr;
   telemetry::Counter* slots_fetched_ = nullptr;

@@ -13,17 +13,18 @@ Result<std::vector<uint64_t>> PtScanCountDisk(
     CountingStats* stats) {
   PrefixTree tree;
   tree.Build(itemsets);
+  std::vector<uint64_t> node_counts(tree.num_nodes(), 0);
 
   for (TransactionFileScanner* scanner : scanners) {
     const uint64_t before = scanner->bytes_read();
     DEMON_RETURN_NOT_OK(scanner->Scan(
-        [&tree](const Transaction& t) { tree.CountTransaction(t); }));
+        [&](const Transaction& t) { tree.CountTransaction(t, node_counts); }));
     if (stats != nullptr) {
       stats->slots_fetched += (scanner->bytes_read() - before) / sizeof(Item);
     }
   }
   std::vector<uint64_t> counts(itemsets.size());
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] = tree.CountOf(i);
+  for (size_t i = 0; i < counts.size(); ++i) counts[i] = tree.CountOf(i, node_counts);
   return counts;
 }
 

@@ -20,8 +20,8 @@ namespace demon {
 /// Entry array at the same positions ("slots", in insertion order); a
 /// power-of-two uint32 linear-probe index maps a key's hash to its slot.
 /// An insert appends to the three arrays — no per-itemset allocation — and
-/// a 2-itemset costs about 37 bytes instead of the ~108 of a node-based
-/// hash map.
+/// a 2-itemset costs about 29 bytes (8 of key, 4 of offset, 8 of entry,
+/// 5-11 of index) instead of the ~108 of a node-based hash map.
 ///
 /// An erase takes the key out of the index at once (backward-shift
 /// deletion, so the index never holds tombstones) and marks its slot dead;
@@ -33,10 +33,13 @@ namespace demon {
 /// Inserts and erases invalidate iterators, views and Entry references.
 class ItemsetTable {
  public:
+  /// Support count and frequent flag packed into one word: a count never
+  /// reaches 2^63 (it counts transactions), so the flag takes the top bit.
   struct Entry {
-    uint64_t count = 0;
-    bool frequent = false;
+    uint64_t count : 63 = 0;
+    uint64_t frequent : 1 = 0;
   };
+  static_assert(sizeof(Entry) == 8);
 
   template <bool kConst>
   class Iterator {

@@ -62,6 +62,11 @@ void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
     const uint64_t count = r.ReadU64();
     const bool frequent = r.ReadBool();
     if (!r.ok()) return;
+    if (count >= uint64_t{1} << 63) {
+      // Entry keeps 63 bits of count; no real count comes near it.
+      r.Fail("model entry count out of range");
+      return;
+    }
     entries.emplace(itemset, ItemsetModel::Entry{count, frequent});
   }
   entries.Compact();

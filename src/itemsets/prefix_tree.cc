@@ -81,7 +81,6 @@ void PrefixTree::BuildFrom(const List& itemsets) {
     bounds.swap(next_bounds);
   }
   child_begin_.push_back(static_cast<uint32_t>(item_.size()));
-  counts_.assign(item_.size(), 0);
   root_child_.assign(size_t{max_first} + 1, 0);
   for (uint32_t c = child_begin_[0]; c < child_begin_[1]; ++c) {
     root_child_[item_[c]] = c;
@@ -95,9 +94,10 @@ void PrefixTree::Build(const std::vector<Itemset>& itemsets) {
 void PrefixTree::Build(const FlatItemsets& itemsets) { BuildFrom(itemsets); }
 
 void PrefixTree::CountTransaction(const Transaction& transaction,
-                                  uint64_t weight) {
+                                  std::span<uint64_t> counts,
+                                  uint64_t weight) const {
+  DEMON_CHECK(counts.size() == item_.size());
   const auto& items = transaction.items();
-  weight_ = weight;
   // The root's children are looked up by item instead of merge-walked:
   // the root has a child per distinct first item, hundreds on Quest data,
   // against a transaction's few dozen items. Items are sorted, so the
@@ -106,13 +106,14 @@ void PrefixTree::CountTransaction(const Transaction& transaction,
   for (const Item* p = items.data(); p != end && *p < root_child_.size();
        ++p) {
     const uint32_t child = root_child_[*p];
-    if (child != 0) CountRecursive(child, p + 1, end);
+    if (child != 0) CountRecursive(child, p + 1, end, counts.data(), weight);
   }
 }
 
 void PrefixTree::CountRecursive(uint32_t node, const Item* pos,
-                                const Item* end) {
-  counts_[node] += weight_;
+                                const Item* end, uint64_t* counts,
+                                uint64_t weight) const {
+  counts[node] += weight;
   uint32_t c = child_begin_[node];
   const uint32_t cend = child_begin_[node + 1];
   // Merge-walk the contiguous child slots (items strictly increasing)
@@ -125,15 +126,11 @@ void PrefixTree::CountRecursive(uint32_t node, const Item* pos,
     } else if (*p < child_item) {
       ++p;
     } else {
-      CountRecursive(c, p + 1, end);
+      CountRecursive(c, p + 1, end, counts, weight);
       ++c;
       ++p;
     }
   }
-}
-
-void PrefixTree::ResetCounts() {
-  std::fill(counts_.begin(), counts_.end(), 0);
 }
 
 }  // namespace demon

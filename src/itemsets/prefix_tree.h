@@ -2,6 +2,7 @@
 #define DEMON_ITEMSETS_PREFIX_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/transaction.h"
@@ -21,32 +22,45 @@ namespace demon {
 /// merge-walks one uint32 array instead of chasing pointers — PT-Scan's
 /// hottest loop. The root's children, one per distinct first item, are
 /// found through an item-indexed table instead.
+///
+/// The tree holds structure only. Counts live in a caller-owned array of
+/// num_nodes() entries, one per node: the transactions containing the
+/// itemset the node's path spells. CountingContext builds one tree per
+/// PT-Scan call and lets every shard count into its own array over it.
 class PrefixTree {
  public:
-  /// Rebuilds the tree from `itemsets` with all counts zero. Each itemset
-  /// must be non-empty and strictly increasing (checked); the list itself
-  /// may be in any order and may hold duplicates, which share one count.
-  /// `CountOf(i)` then reports the itemset at position `i` of the list.
+  /// Rebuilds the tree from `itemsets`. Each itemset must be non-empty
+  /// and strictly increasing (checked); the list itself may be in any
+  /// order and may hold duplicates, which end at one node and so share
+  /// one count. `CountOf(i, counts)` then reports the itemset at position
+  /// `i` of the list.
   void Build(const std::vector<Itemset>& itemsets);
   /// The same over a flat list (an ItemsetTable's key arena), so a model
   /// counts its itemsets without copying them out.
   void Build(const FlatItemsets& itemsets);
 
-  /// Adds `weight` to the count of every itemset of the tree that is a
-  /// subset of the (sorted) transaction.
-  void CountTransaction(const Transaction& transaction, uint64_t weight = 1);
+  /// Nodes of the tree, the root included: the length of a count array.
+  size_t num_nodes() const { return item_.size(); }
 
-  /// Count accumulated for `itemsets[i]` of the last Build.
-  uint64_t CountOf(size_t i) const { return counts_[node_of_[i]]; }
+  /// Adds `weight` to `counts[n]` for every node n whose itemset is a
+  /// subset of the (sorted) transaction. `counts` has num_nodes() entries.
+  /// The tree itself is only read, so any number of threads may count
+  /// into their own arrays over one tree at once.
+  void CountTransaction(const Transaction& transaction,
+                        std::span<uint64_t> counts,
+                        uint64_t weight = 1) const;
 
-  /// Resets all counts to zero (the tree structure is kept).
-  void ResetCounts();
+  /// Count of `itemsets[i]` of the last Build in `counts`.
+  uint64_t CountOf(size_t i, std::span<const uint64_t> counts) const {
+    return counts[node_of_[i]];
+  }
 
  private:
   /// Build over any list whose `itemsets[i]` is a sorted item range.
   template <typename List>
   void BuildFrom(const List& itemsets);
-  void CountRecursive(uint32_t node, const Item* pos, const Item* end);
+  void CountRecursive(uint32_t node, const Item* pos, const Item* end,
+                      uint64_t* counts, uint64_t weight) const;
 
   /// Node storage indexed by BFS slot; slot 0 is the root. The children
   /// of slot n are slots [child_begin_[n], child_begin_[n + 1]) — BFS
@@ -54,15 +68,11 @@ class PrefixTree {
   /// trailing sentinel bounds every range.
   std::vector<Item> item_;
   std::vector<uint32_t> child_begin_;
-  /// Transactions reaching each node, i.e. containing the itemset its
-  /// path spells.
-  std::vector<uint64_t> counts_;
   /// Input position -> the node its itemset ends at.
   std::vector<uint32_t> node_of_;
   /// First item -> the root's child for it, or 0 (the root is never a
   /// child).
   std::vector<uint32_t> root_child_;
-  uint64_t weight_ = 1;
 };
 
 }  // namespace demon

@@ -40,8 +40,8 @@ struct CountingStats {
 // The functions below are the sequential convenience API; they run a
 // one-shot CountingContext (see itemsets/counting_context.h) without a
 // thread pool. Maintainers on the hot path hold a CountingContext instead,
-// which reuses scratch buffers across calls and can fan work out over a
-// shared ThreadPool with bit-identical results.
+// which can fan work out over a shared ThreadPool with bit-identical
+// results.
 
 /// \brief PT-Scan: counts `itemsets` with one pass over all transactions of
 /// `blocks` using a prefix tree. Returns absolute counts, parallel to

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "datagen/quest_generator.h"
 #include "itemsets/apriori.h"
 
@@ -249,6 +254,80 @@ TEST(BordersTest, ManySmallBlocksStressPromotionDemotionCycles) {
     ExpectModelsEqual(maintainer.model(),
                       Apriori(so_far, options.minsup, options.num_items));
   }
+}
+
+// Between blocks a maintainer holds its model, its blocks and its TID-lists
+// and nothing else: no counting call leaves a buffer behind, whatever
+// number of shards it ran on. Checked on the heap in use (glibc's
+// mallinfo2), so it is skipped where a sanitizer replaces the allocator.
+TEST(BordersTest, HeapBetweenBlocksIsModelBlocksAndTidLists) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+#endif
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#else
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  // Heap a block holds: its transaction array and each transaction's item
+  // array, with two words of allocator header per allocation.
+  const auto block_bytes = [](const TransactionBlock& block) {
+    size_t bytes = sizeof(TransactionBlock) +
+                   block.transactions().capacity() * sizeof(Transaction);
+    for (const Transaction& t : block.transactions()) {
+      bytes += t.items().capacity() * sizeof(Item) + 2 * sizeof(void*);
+    }
+    return bytes;
+  };
+
+  constexpr size_t kNumItems = 300;
+  ThreadPool pool(4);
+  for (CountingStrategy strategy :
+       {CountingStrategy::kPtScan, CountingStrategy::kEcut}) {
+    QuestParams params;
+    params.num_transactions = 4 * 2000;
+    params.num_items = kNumItems;
+    params.num_patterns = 60;
+    params.avg_transaction_len = 10;
+    params.avg_pattern_len = 3;
+    params.seed = 61;
+    QuestGenerator gen(params);
+    BordersOptions options;
+    options.minsup = 0.004;
+    options.num_items = kNumItems;
+    options.strategy = strategy;
+    BordersMaintainer maintainer(options);
+    maintainer.set_counting_pool(&pool);
+
+    const size_t baseline = heap_in_use();
+    std::vector<BlockPtr> blocks;
+    size_t blocks_total = 0;
+    Tid tid = 0;
+    for (int b = 0; b < 4; ++b) {
+      blocks.push_back(
+          std::make_shared<TransactionBlock>(gen.NextBlock(2000, tid)));
+      tid += blocks.back()->size();
+      blocks_total += block_bytes(*blocks.back());
+      maintainer.AddBlock(blocks.back());
+      const size_t held = heap_in_use() - baseline;
+      const size_t model = maintainer.model().entries().MemoryBytes();
+      const size_t tidlists = maintainer.tidlist_store().TotalPayloadBytes();
+      EXPECT_LE(held, model + tidlists + blocks_total + (size_t{2} << 20))
+          << CountingStrategyName(strategy) << " block " << b << ": model "
+          << model << " B, TID-lists " << tidlists << " B, blocks "
+          << blocks_total << " B, "
+          << maintainer.model().entries().size() << " entries";
+    }
+    ExpectModelsEqual(maintainer.model(),
+                      Apriori(blocks, options.minsup, options.num_items));
+  }
+#endif
 }
 
 }  // namespace

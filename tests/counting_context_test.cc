@@ -107,6 +107,50 @@ TEST(CountingContextTest, ParallelMatchesSequentialAllStrategies) {
   }
 }
 
+// PT-Scan's shards share one tree and count into their own arrays, which
+// a node-range merge sums: at every thread count the counts equal the
+// sequential ones and a brute-force subset test, duplicates included (a
+// duplicate ends at its first copy's node), over both list forms.
+TEST(CountingContextTest, PtScanWithDuplicatesIdenticalAcrossThreadCounts) {
+  const Fixture fixture = MakeFixture(4, 700, 120, 41);
+  auto itemsets = RandomItemsets(200, 4, fixture.num_items, 42);
+  for (size_t i = 0; i < 200; i += 5) itemsets.push_back(itemsets[i]);
+  Rng rng(43);
+  for (size_t i = itemsets.size(); i > 1; --i) {
+    std::swap(itemsets[i - 1], itemsets[rng.NextUint64(i)]);
+  }
+  std::vector<Item> arena;
+  std::vector<uint32_t> offsets = {0};
+  for (const Itemset& itemset : itemsets) {
+    arena.insert(arena.end(), itemset.begin(), itemset.end());
+    offsets.push_back(static_cast<uint32_t>(arena.size()));
+  }
+  const FlatItemsets flat(arena, offsets);
+
+  std::vector<uint64_t> expected(itemsets.size(), 0);
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    for (const auto& block : fixture.blocks) {
+      for (const Transaction& t : block->transactions()) {
+        expected[i] += t.ContainsAll(itemsets[i].begin(), itemsets[i].end());
+      }
+    }
+  }
+  CountingStats seq_stats;
+  EXPECT_EQ(CountingContext().PtScan(itemsets, fixture.blocks, &seq_stats),
+            expected);
+
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    CountingContext context(&pool);
+    CountingStats stats;
+    EXPECT_EQ(context.PtScan(itemsets, fixture.blocks, &stats), expected)
+        << "threads=" << threads;
+    ExpectStatsEq(stats, seq_stats, "pt-scan");
+    EXPECT_EQ(context.PtScan(flat, fixture.blocks), expected)
+        << "flat, threads=" << threads;
+  }
+}
+
 TEST(CountingContextTest, CountItemsMatchesBruteForce) {
   const Fixture fixture = MakeFixture(3, 400, 80, 23);
   std::vector<uint64_t> expected(fixture.num_items, 0);
@@ -141,8 +185,8 @@ TEST(CountingContextTest, AprioriWithPoolMatchesSequential) {
   }
 }
 
-// Scratch buffers persist across calls; reuse must not leak state between
-// calls with different itemset sets or strategies.
+// One context across calls with different itemset sets and strategies
+// counts as a fresh one: no call leaves state behind for the next.
 TEST(CountingContextTest, ReuseAcrossCallsMatchesFreshContext) {
   const Fixture fixture = MakeFixture(2, 300, 60, 25);
   ThreadPool pool(3);
@@ -278,8 +322,9 @@ TEST(CountingContextTest, EmptyInputsAndPoolRebinding) {
             fresh.PtScan(itemsets, fixture.blocks));
 }
 
-// Copies share the pool binding but rebuild scratch lazily — the cheap
-// clone GEMM relies on when it spawns window models.
+// A context is its bindings and nothing else, so a copy counts exactly as
+// the original does — the cheap clone GEMM relies on when it spawns window
+// models.
 TEST(CountingContextTest, CopyCarriesPoolBindingOnly) {
   const Fixture fixture = MakeFixture(2, 200, 40, 31);
   const auto itemsets = RandomItemsets(20, 3, fixture.num_items, 32);

@@ -118,6 +118,39 @@ TEST(ModelIoTest, ModelIsTinyComparedToData) {
   EXPECT_LT(SerializedModelBytes(model), data_bytes);
 }
 
+// A model entry keeps 63 bits of count: the largest such count loads
+// intact, and one past it is rejected instead of silently truncated.
+TEST(ModelIoTest, CountOutsideEntryRangeFails) {
+  constexpr uint64_t kMaxCount = (uint64_t{1} << 63) - 1;
+  const auto payload = [](uint64_t count) {
+    persistence::Writer w;
+    w.WriteDouble(0.5);
+    w.WriteU64(10);  // num_items
+    w.WriteU64(1);   // num_transactions
+    w.WriteU64(1);   // num_entries
+    const std::vector<Item> itemset = {3, 7};
+    w.WriteU32Span(itemset);
+    w.WriteU64(count);
+    w.WriteBool(true);
+    return w.buffer();
+  };
+
+  const std::string largest = payload(kMaxCount);
+  persistence::Reader ok_reader(largest);
+  ItemsetModel model;
+  DeserializeItemsetModel(ok_reader, &model);
+  ASSERT_TRUE(ok_reader.status().ok()) << ok_reader.status();
+  EXPECT_EQ(model.CountOf({3, 7}), kMaxCount);
+  EXPECT_TRUE(model.IsFrequent({3, 7}));
+
+  const std::string too_large = payload(kMaxCount + 1);
+  persistence::Reader bad_reader(too_large);
+  ItemsetModel rejected;
+  DeserializeItemsetModel(bad_reader, &rejected);
+  EXPECT_EQ(bad_reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(rejected.entries().empty());
+}
+
 TEST(ModelIoTest, MissingFileFails) {
   auto result = ReadItemsetModel("/nonexistent/model.bin");
   EXPECT_FALSE(result.ok());
