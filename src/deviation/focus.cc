@@ -1,6 +1,8 @@
 #include "deviation/focus.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 
 #include "common/check.h"
 #include "common/stats.h"
@@ -49,31 +51,35 @@ DeviationResult SummarizeRegionCounts(const std::vector<double>& counts1,
   return result;
 }
 
-ItemsetModel FocusItemsets::MineModel(const TransactionBlock& block) const {
-  return AprioriOnBlock(block, options_.minsup, options_.num_items);
+FrozenItemsetModel FocusItemsets::MineModel(
+    const TransactionBlock& block) const {
+  Result<FrozenItemsetModel> frozen = FrozenItemsetModel::Freeze(
+      AprioriOnBlock(block, options_.minsup, options_.num_items));
+  DEMON_CHECK_OK(frozen.status());
+  return std::move(frozen).value();
 }
 
 DeviationResult FocusItemsets::Compare(const TransactionBlock& d1,
                                        const TransactionBlock& d2) const {
-  const ItemsetModel m1 = MineModel(d1);
-  const ItemsetModel m2 = MineModel(d2);
+  const FrozenItemsetModel m1 = MineModel(d1);
+  const FrozenItemsetModel m2 = MineModel(d2);
   return CompareWithModels(d1, m1, d2, m2);
 }
 
-DeviationResult FocusItemsets::CompareWithModels(const TransactionBlock& d1,
-                                                 const ItemsetModel& m1,
-                                                 const TransactionBlock& d2,
-                                                 const ItemsetModel& m2) const {
+DeviationResult FocusItemsets::CompareWithModels(
+    const TransactionBlock& d1, const FrozenItemsetModel& m1,
+    const TransactionBlock& d2, const FrozenItemsetModel& m2) const {
   // Greatest common refinement: the union of the frequent itemsets of the
-  // two models ("interesting regions" of either dataset).
-  std::vector<Itemset> regions = m1.FrequentItemsets();
+  // two models ("interesting regions" of either dataset), both listed in
+  // lexicographic order.
+  std::vector<Itemset> regions;
   {
-    ItemsetSet seen(regions.begin(), regions.end());
-    for (Itemset& itemset : m2.FrequentItemsets()) {
-      if (seen.insert(itemset).second) regions.push_back(std::move(itemset));
-    }
+    const std::vector<Itemset> frequent1 = m1.FrequentItemsets();
+    const std::vector<Itemset> frequent2 = m2.FrequentItemsets();
+    std::set_union(frequent1.begin(), frequent1.end(), frequent2.begin(),
+                   frequent2.end(), std::back_inserter(regions),
+                   ItemsetLess());
   }
-  std::sort(regions.begin(), regions.end(), ItemsetLess());
 
   // Measures: supports on each side. A region frequent on only one side
   // may still be *tracked* by the other model (negative border carries
@@ -83,13 +89,13 @@ DeviationResult FocusItemsets::CompareWithModels(const TransactionBlock& d1,
   std::vector<size_t> missing1;
   std::vector<size_t> missing2;
   for (size_t i = 0; i < regions.size(); ++i) {
-    if (m1.Contains(regions[i])) {
-      counts1[i] = static_cast<double>(m1.CountOf(regions[i]));
+    if (const std::optional<uint64_t> count = m1.Find(regions[i])) {
+      counts1[i] = static_cast<double>(*count);
     } else {
       missing1.push_back(i);
     }
-    if (m2.Contains(regions[i])) {
-      counts2[i] = static_cast<double>(m2.CountOf(regions[i]));
+    if (const std::optional<uint64_t> count = m2.Find(regions[i])) {
+      counts2[i] = static_cast<double>(*count);
     } else {
       missing2.push_back(i);
     }

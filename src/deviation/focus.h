@@ -6,7 +6,7 @@
 
 #include "clustering/birch.h"
 #include "data/block.h"
-#include "itemsets/itemset_model.h"
+#include "itemsets/frozen_itemset_model.h"
 
 namespace demon {
 
@@ -62,17 +62,18 @@ class FocusItemsets {
                           const TransactionBlock& d2) const;
 
   /// Compares two blocks whose models were already mined (the cached-model
-  /// path the pattern detector uses; models must be the blocks' frequent
-  /// itemsets at these options). Scans a block only for itemsets frequent
-  /// in the other model but untracked in its own.
+  /// path the pattern detector uses; models must come from MineModel at
+  /// these options). Scans a block only for itemsets frequent in the other
+  /// model but untracked in its own.
   DeviationResult CompareWithModels(const TransactionBlock& d1,
-                                    const ItemsetModel& m1,
+                                    const FrozenItemsetModel& m1,
                                     const TransactionBlock& d2,
-                                    const ItemsetModel& m2) const;
+                                    const FrozenItemsetModel& m2) const;
 
-  /// Mines the frequent-itemset model of one block (exposed so callers can
-  /// cache models across many comparisons).
-  ItemsetModel MineModel(const TransactionBlock& block) const;
+  /// Mines the model of one block — frequent itemsets and negative border
+  /// with counts — and freezes it, so callers can cache it across many
+  /// comparisons.
+  FrozenItemsetModel MineModel(const TransactionBlock& block) const;
 
   const Options& options() const { return options_; }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "persistence/file_header.h"
 
 namespace demon {
@@ -71,6 +72,38 @@ void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
   }
   entries.Compact();
   *model = std::move(loaded);
+}
+
+void SerializeItemsetModel(persistence::Writer& w,
+                           const FrozenItemsetModel& model) {
+  w.WriteDouble(model.minsup());
+  w.WriteU64(model.num_items());
+  w.WriteU64(model.num_transactions());
+  const uint64_t num_entries = model.size();
+  w.WriteU64(num_entries);
+  // ForEachEntry walks in the canonical (lexicographic) order.
+  const uint64_t min_count = model.MinCount();
+  uint64_t written = 0;
+  model.ForEachEntry([&](std::span<const Item> itemset, uint64_t count) {
+    w.WriteU32Span(itemset);
+    w.WriteU64(count);
+    w.WriteBool(count >= min_count);
+    ++written;
+  });
+  DEMON_CHECK(written == num_entries);
+}
+
+void DeserializeItemsetModel(persistence::Reader& r,
+                             FrozenItemsetModel* model) {
+  ItemsetModel loaded;
+  DeserializeItemsetModel(r, &loaded);
+  if (!r.ok()) return;
+  Result<FrozenItemsetModel> frozen = FrozenItemsetModel::Freeze(loaded);
+  if (!frozen.ok()) {
+    r.Fail(frozen.status().message());
+    return;
+  }
+  *model = std::move(frozen).value();
 }
 
 Status WriteItemsetModel(const ItemsetModel& model, const std::string& path) {

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "itemsets/frozen_itemset_model.h"
 #include "itemsets/itemset_model.h"
 #include "persistence/serializer.h"
 
@@ -31,6 +32,15 @@ void SerializeItemsetModel(persistence::Writer& w, const ItemsetModel& model);
 /// latches a DataLoss on `r`; `model` is only valid when `r.ok()` holds
 /// afterwards.
 void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model);
+
+/// The same payload from a frozen model: the bytes SerializeItemsetModel
+/// writes for the model it was frozen from.
+void SerializeItemsetModel(persistence::Writer& w,
+                           const FrozenItemsetModel& model);
+
+/// Decodes a model payload and freezes it. A model without the shape
+/// FrozenItemsetModel::Freeze requires latches a DataLoss on `r`.
+void DeserializeItemsetModel(persistence::Reader& r, FrozenItemsetModel* model);
 
 /// Serialized size of a model file in bytes, without writing it (what
 /// §3.2.3 calls the "negligible" additional disk space for the w - 1

@@ -45,7 +45,7 @@ void CompactSequenceMiner::AddBlock(
     const size_t new_start = t + 1 - options_.window_size;
     for (size_t i = window_start_; i < new_start; ++i) {
       blocks_[i].reset();
-      models_[i] = ItemsetModel();
+      models_[i] = FrozenItemsetModel();
     }
     window_start_ = new_start;
     RebuildSequences();

@@ -122,7 +122,8 @@ class CompactSequenceMiner {
   FocusItemsets focus_;
   size_t window_start_ = 0;
   std::vector<std::shared_ptr<const TransactionBlock>> blocks_;
-  std::vector<ItemsetModel> models_;
+  /// One frozen model per block (empty once a block leaves the window).
+  std::vector<FrozenItemsetModel> models_;
   /// Upper-triangular pairwise matrix: pair_[j] holds similarities of
   /// block j with blocks 0..j-1.
   std::vector<std::vector<PairwiseSimilarity>> pair_;

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 namespace demon::server {
@@ -71,13 +72,15 @@ Status DemonServer::Start() {
   }
   port_ = ntohs(bound.sin_port);
   listen_fd_ = fd;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The loop gets the fd by value: Stop() resets listen_fd_ while the
+  // loop may still be inside accept().
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return Status::OK();
 }
 
-void DemonServer::AcceptLoop() {
+void DemonServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed by Stop (or a fatal accept error)
@@ -89,13 +92,33 @@ void DemonServer::AcceptLoop() {
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     telemetry_.counter("server/connections")->Increment();
-    MutexLock lock(mutex_);
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Reap the threads of finished connections before starting another,
+    // so a long-lived server under connection churn holds one thread (and
+    // its stack) per open connection, not per connection ever accepted.
+    std::list<Connection> finished;
+    {
+      MutexLock lock(mutex_);
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        const auto next = std::next(it);
+        if (it->done) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+      Connection& connection = connections_.emplace_back();
+      connection.fd = fd;
+      connection.thread =
+          std::thread([this, &connection] { ServeConnection(&connection); });
+    }
+    for (Connection& connection : finished) connection.thread.join();
   }
 }
 
-void DemonServer::ServeConnection(int fd) {
+size_t DemonServer::NumConnectionThreads() {
+  MutexLock lock(mutex_);
+  return connections_.size();
+}
+
+void DemonServer::ServeConnection(Connection* connection) {
+  const int fd = connection->fd;
   for (;;) {
     auto payload = ReceiveFramePayload(fd);
     if (!payload.ok()) {
@@ -132,16 +155,12 @@ void DemonServer::ServeConnection(int fd) {
       break;
     }
   }
-  // Deregister before closing: once closed, the fd number can be reused
-  // by another accept or open, and Stop() must never shutdown() it.
+  // Mark done before closing: once closed, the fd number can be reused
+  // by another accept or open, and Stop() must never shutdown() it. After
+  // this the entry may be reaped at any time, so it is not touched again.
   {
     MutexLock lock(mutex_);
-    for (size_t i = 0; i < connection_fds_.size(); ++i) {
-      if (connection_fds_[i] == fd) {
-        connection_fds_.erase(connection_fds_.begin() + i);
-        break;
-      }
-    }
+    connection->done = true;
   }
   ::close(fd);
 }
@@ -244,17 +263,17 @@ Status DemonServer::Stop() {
     listen_fd_ = -1;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     MutexLock lock(mutex_);
-    // Unblock every in-flight read; the owning threads observe EOF, close
-    // their fds and remove themselves from connection_fds_.
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    // Unblock every in-flight read; the owning threads observe EOF, mark
+    // themselves done and close their fds.
+    for (const Connection& connection : connections_) {
+      if (!connection.done) ::shutdown(connection.fd, SHUT_RDWR);
+    }
     connections.swap(connections_);
   }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& connection : connections) connection.thread.join();
   if (host_ != nullptr) return host_->FlushAll();
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 #define DEMON_SERVER_SERVER_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,7 +28,9 @@ struct ServerOptions {
 
 /// \brief The demon_serve daemon core: a TCP listener speaking the wire
 /// protocol of `server/wire.h`, one handler thread per connection, all
-/// tenants hosted by one TenantHost.
+/// tenants hosted by one TenantHost. The thread of a closed connection is
+/// joined when the next connection is accepted (or by Stop), so threads
+/// stay bounded by the open connections, not by the connections served.
 ///
 /// Error handling per connection follows the wire contract: a payload
 /// with a bad header or version gets a clean InvalidArgument reply and
@@ -64,9 +67,22 @@ class DemonServer {
   telemetry::TelemetryRegistry* telemetry() { return &telemetry_; }
   TenantHost* host() { return host_.get(); }
 
+  /// Connection threads not yet joined: the open connections plus those
+  /// that finished after the last accept.
+  size_t NumConnectionThreads() DEMON_EXCLUDES(mutex_);
+
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  /// One accepted connection and the thread serving it.
+  struct Connection {
+    int fd = -1;
+    /// Set by the serving thread, under mutex_, once it no longer uses
+    /// the fd; from then on the thread only closes the fd and exits.
+    bool done = false;
+    std::thread thread;
+  };
+
+  void AcceptLoop(int listen_fd) DEMON_EXCLUDES(mutex_);
+  void ServeConnection(Connection* connection) DEMON_EXCLUDES(mutex_);
   /// Dispatches one decoded request. `*shutdown_after_reply` is set for
   /// kShutdown so the caller sends the reply *before* the server begins
   /// tearing connections down.
@@ -84,9 +100,11 @@ class DemonServer {
   Mutex mutex_;
   CondVar shutdown_cv_;
   bool shutdown_requested_ DEMON_GUARDED_BY(mutex_) = false;
-  std::vector<std::thread> connections_ DEMON_GUARDED_BY(mutex_);
-  /// Open connection fds, so Stop can shut them down to unblock reads.
-  std::vector<int> connection_fds_ DEMON_GUARDED_BY(mutex_);
+  /// Connections whose threads are not joined yet; a list, so that each
+  /// thread's entry stays put while others come and go. The accept loop
+  /// joins the finished ones before it starts another; Stop() shuts the
+  /// open ones down and joins the rest.
+  std::list<Connection> connections_ DEMON_GUARDED_BY(mutex_);
 };
 
 }  // namespace demon::server

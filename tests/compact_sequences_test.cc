@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "datagen/quest_generator.h"
 #include "datagen/trace_generator.h"
 
@@ -173,6 +177,110 @@ TEST(CompactSequenceMinerTest, SyntheticTraceSeparatesWeekdayFromWeekend) {
   EXPECT_FALSE(miner.Similar(4, 6));
   // Weekend days resemble each other: Sat 9-7 (4) vs Sun 9-8 (5).
   EXPECT_TRUE(miner.Similar(4, 5));
+}
+
+TEST(CompactSequenceMinerTest, Figure10PairsCompareWithoutScansThroughBorderCounts) {
+  // Figure 10's configuration: 6-hour blocks of the proxy trace.
+  TraceGenerator::Params params;
+  params.rate_scale = 0.05;
+  params.seed = 7;
+  const auto blocks = SegmentTrace(TraceGenerator(params).Generate(), 6, 12);
+  CompactSequenceMiner::Options options;
+  options.focus.minsup = 0.01;
+  options.focus.num_items =
+      TraceGenerator::kNumObjectTypes + TraceGenerator::kNumSizeBuckets;
+  options.alpha = 0.99;
+  CompactSequenceMiner miner(options);
+  std::vector<std::vector<Itemset>> frequent;
+  const FocusItemsets focus(options.focus);
+  for (const auto& block : blocks) {
+    miner.AddBlock(std::make_shared<TransactionBlock>(block));
+    frequent.push_back(focus.MineModel(block).FrequentItemsets());
+  }
+
+  size_t pairs = 0;
+  size_t unscanned = 0;
+  for (size_t j = 0; j < miner.NumBlocks(); ++j) {
+    for (size_t i = 0; i < j; ++i) {
+      ++pairs;
+      if (miner.Similarity(i, j).deviation.scanned_blocks) continue;
+      ++unscanned;
+      // No two blocks share their frequent itemsets, so a pair compares
+      // without a scan only because each block's model carries its
+      // negative border with counts.
+      EXPECT_NE(frequent[i], frequent[j]) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(pairs, 3321u);
+  // Pinned: the count the hash-table model cache gave on this trace.
+  EXPECT_EQ(unscanned, 1235u);
+}
+
+TEST(CompactSequenceMinerTest, HeapIsFrozenModelsBlocksAndSimilarityMatrix) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+#endif
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#else
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  // Heap a block holds: its transaction array and each transaction's item
+  // array, with two words of allocator header per allocation.
+  const auto block_bytes = [](const TransactionBlock& block) {
+    size_t bytes = sizeof(TransactionBlock) +
+                   block.transactions().capacity() * sizeof(Transaction);
+    for (const Transaction& t : block.transactions()) {
+      bytes += t.items().capacity() * sizeof(Item) + 2 * sizeof(void*);
+    }
+    return bytes;
+  };
+
+  constexpr size_t kNumItems = 300;
+  constexpr size_t kBlocks = 6;
+  QuestParams params;
+  params.num_transactions = kBlocks * 1000;
+  params.num_items = kNumItems;
+  params.num_patterns = 200;
+  params.avg_transaction_len = 10;
+  params.avg_pattern_len = 3;
+  params.seed = 81;
+  QuestGenerator gen(params);
+  CompactSequenceMiner::Options options;
+  options.focus.minsup = 0.005;
+  options.focus.num_items = kNumItems;
+  CompactSequenceMiner miner(options);
+  const FocusItemsets focus(options.focus);
+
+  std::vector<BlockPtr> blocks;
+  blocks.reserve(kBlocks);
+  const size_t baseline = heap_in_use();
+  size_t blocks_total = 0;
+  size_t models_total = 0;
+  Tid tid = 0;
+  for (size_t b = 0; b < kBlocks; ++b) {
+    blocks.push_back(
+        std::make_shared<TransactionBlock>(gen.NextBlock(1000, tid)));
+    tid += blocks.back()->size();
+    blocks_total += block_bytes(*blocks.back());
+    models_total += focus.MineModel(*blocks.back()).MemoryBytes();
+    miner.AddBlock(blocks.back());
+    // Row j of the similarity matrix holds j entries; the row and
+    // sequence headers fall inside the slack.
+    const size_t n = miner.NumBlocks();
+    const size_t matrix = n * (n - 1) / 2 * sizeof(PairwiseSimilarity);
+    const size_t held = heap_in_use() - baseline;
+    EXPECT_LE(held, models_total + blocks_total + matrix + (size_t{2} << 20))
+        << "block " << b << ": frozen models " << models_total
+        << " B, blocks " << blocks_total << " B, matrix " << matrix << " B";
+  }
+#endif
 }
 
 }  // namespace

@@ -83,12 +83,14 @@ TEST(FocusItemsetsTest, CachedModelPathMatchesDirectPath) {
   const TransactionBlock b1 = QuestBlock(1000, 66);
   const TransactionBlock b2 = QuestBlock(1000, 67);
   FocusItemsets focus(ItemsetOptions());
-  const ItemsetModel m1 = focus.MineModel(b1);
-  const ItemsetModel m2 = focus.MineModel(b2);
+  const FrozenItemsetModel m1 = focus.MineModel(b1);
+  const FrozenItemsetModel m2 = focus.MineModel(b2);
   const DeviationResult direct = focus.Compare(b1, b2);
   const DeviationResult cached = focus.CompareWithModels(b1, m1, b2, m2);
   EXPECT_DOUBLE_EQ(direct.deviation, cached.deviation);
   EXPECT_DOUBLE_EQ(direct.significance, cached.significance);
+  EXPECT_EQ(direct.num_regions, cached.num_regions);
+  EXPECT_EQ(direct.scanned_blocks, cached.scanned_blocks);
 }
 
 TEST(FocusItemsetsTest, DeviationBoundedByOne) {

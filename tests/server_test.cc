@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -562,6 +563,31 @@ TEST_F(ServerTest, ShutdownRequestStopsTheServerDurably) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().records_durable, 5u);
   ASSERT_TRUE(restarted.Stop().ok());
+}
+
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped) {
+  StartServer("server_reap");
+  // Sequential connections: each connects, pings and closes before the
+  // next one starts. Without reaping every one of them leaves a thread.
+  const auto cycle = [&] {
+    ClientConnection connection;
+    ASSERT_TRUE(connection.Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(MustCall(connection, Request{MsgType::kPing}).ok());
+  };
+  constexpr int kCycles = 300;
+  for (int i = 0; i < kCycles; ++i) cycle();
+  // A closed connection's thread is joined at the next accept once it has
+  // finished; a slow-paced cycle gives the last ones time to finish, which
+  // leaves at most the previous connection's thread and the newest one.
+  size_t threads = server_->NumConnectionThreads();
+  for (int i = 0; i < 200 && threads > 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    cycle();
+    threads = server_->NumConnectionThreads();
+  }
+  EXPECT_LE(threads, 2u);
+  ASSERT_TRUE(server_->Stop().ok());
+  EXPECT_EQ(server_->NumConnectionThreads(), 0u);
 }
 
 }  // namespace
